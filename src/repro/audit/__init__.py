@@ -18,8 +18,8 @@ package codifies the invariants as machine-checked rules:
 * :mod:`repro.audit.engine` — AST rule engine: per-file module contexts,
   qualified-name resolution through import tables, findings with
   severity, and ``# repro: allow(<rule-id>)`` suppression comments;
-* :mod:`repro.audit.graph` — the whole-program layer: serializable
-  per-module call-graph facts, the assembled :class:`ProjectIndex`, and
+* :mod:`repro.audit.graph` — the whole-program layer: per-module
+  call-graph facts, the assembled :class:`ProjectIndex`, and
   BFS sink-chain search, which is what makes the determinism rules
   *interprocedural* (:mod:`repro.audit.rules_interproc`);
 * :mod:`repro.audit.rules_determinism`, :mod:`~repro.audit.rules_crypto`,
@@ -29,8 +29,6 @@ package codifies the invariants as machine-checked rules:
   — the rule families (see ``docs/AUDIT.md`` for the catalogue);
 * :mod:`repro.audit.baseline` — fingerprinted baseline files that
   grandfather deliberate exceptions while new findings still fail CI;
-* :mod:`repro.audit.cache` — content-hash incremental cache: unchanged
-  files skip parsing entirely (``audit --cache``);
 * :mod:`repro.audit.sarif` — SARIF 2.1.0 export for GitHub code
   scanning (``audit --sarif``);
 * :mod:`repro.audit.cli` — ``repro-aai audit`` / ``python -m repro.audit``;
@@ -39,7 +37,6 @@ package codifies the invariants as machine-checked rules:
 """
 
 from repro.audit.baseline import load_baseline, write_baseline
-from repro.audit.cache import AuditCache
 from repro.audit.catalog import all_rules, find_rule, known_rule_ids
 from repro.audit.engine import (
     Finding,
@@ -53,7 +50,6 @@ from repro.audit.runtime import SanitizerViolation, sanitized
 from repro.audit.sarif import to_sarif, write_sarif
 
 __all__ = [
-    "AuditCache",
     "Finding",
     "ProjectIndex",
     "ProjectRule",

@@ -8,15 +8,12 @@ hands it to every registered :class:`Rule`. Rules walk the AST and emit
 unknown rule ids inside suppressions as findings themselves (``AUD001``),
 so a typo cannot silently disable a rule.
 
-Since the whole-program pass, per-file analysis is two-stage: each file
-yields a :class:`FileAnalysis` (its per-file findings plus the
-serializable call-graph facts of :mod:`repro.audit.graph`), and the
-:class:`ProjectRule` subclasses then check properties of the *assembled*
-project — call chains that cross files, which no single
-:class:`ModuleContext` can see. ``FileAnalysis`` objects are plain data,
-which is what lets the incremental cache (:mod:`repro.audit.cache`)
-skip parsing entirely for unchanged files and ``--jobs N`` fan file
-analysis out over :func:`repro.parallel.run_tasks`.
+Analysis is two-stage: each file yields a :class:`FileAnalysis` (its
+per-file findings plus the call-graph facts of :mod:`repro.audit.graph`),
+and the :class:`ProjectRule` subclasses then check properties of the
+*assembled* project — call chains that cross files, which no single
+:class:`ModuleContext` can see. Files are analysed serially, in sorted
+order.
 
 Scoping: most rules only make sense for specific packages (wall-clock is
 banned in simulator code but ``time.monotonic`` is fine in telemetry).
@@ -374,48 +371,12 @@ def split_rules(
 
 @dataclass
 class FileAnalysis:
-    """One file's per-file findings plus its whole-program facts.
-
-    Everything here is derived purely from the file's content and the
-    rule set, which is what makes it cacheable by content hash
-    (:mod:`repro.audit.cache`) and transportable across worker processes
-    (``audit --jobs N``).
-    """
+    """One file's per-file findings plus its whole-program facts."""
 
     path: str
     module: str
     findings: List[Finding]
     facts: object  #: :class:`repro.audit.graph.ModuleFacts`
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "path": f.path,
-                    "line": f.line,
-                    "col": f.col,
-                    "message": f.message,
-                    "severity": f.severity,
-                    "line_text": f.line_text,
-                }
-                for f in self.findings
-            ],
-            "facts": self.facts.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FileAnalysis":
-        from repro.audit.graph import ModuleFacts
-
-        return cls(
-            path=payload["path"],
-            module=payload["module"],
-            findings=[Finding(**entry) for entry in payload["findings"]],
-            facts=ModuleFacts.from_dict(payload["facts"]),
-        )
 
 
 def analyze_source(
@@ -534,27 +495,6 @@ def audit_source(
     return findings
 
 
-def _analyze_file_task(
-    payload: "tuple[str, str, Optional[str], Optional[tuple]]",
-) -> dict:
-    """Worker task for ``audit --jobs N``: analyze one file, return data.
-
-    Module-level and payload-pure (the :mod:`repro.parallel` contract):
-    the result depends only on the file path, its content, and the rule
-    ids, so parallel analysis is byte-identical to serial. Rules travel
-    as ids (reconstructed from the worker's catalogue), not objects.
-    """
-    filename, display, module, rule_ids = payload
-    rules: Optional[List[Rule]] = None
-    if rule_ids is not None:
-        from repro.audit.catalog import all_rules
-
-        wanted = set(rule_ids)
-        rules = [rule for rule in all_rules() if rule.id in wanted]
-    analysis = _analyze_file(filename, display, module, rules=rules)
-    return analysis.to_dict()
-
-
 def _analyze_file(
     filename: str,
     display: str,
@@ -587,61 +527,30 @@ def audit_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     root: Optional[str] = None,
-    jobs: int = 1,
-    cache: Optional[object] = None,
 ) -> List[Finding]:
     """Audit every ``.py`` file under ``paths``; findings in stable order.
 
-    ``jobs > 1`` fans the per-file stage out over a process pool
-    (:func:`repro.parallel.run_tasks`); the project stage always runs in
-    the parent over the assembled facts. ``cache`` is an
-    :class:`repro.audit.cache.AuditCache`: files whose content hash (and
-    rule signature) match a cached entry skip parsing and per-file rules
-    entirely — the warm path behind ``BENCH_audit.json``.
+    The per-file stage runs over each file in sorted order; the project
+    stage then runs once over the assembled facts.
     """
     if root is None:
         root = os.getcwd()
-    narrowed = rules is not None
     if rules is None:
         from repro.audit.catalog import all_rules
 
         rules = all_rules()
-    rule_ids = tuple(sorted(rule.id for rule in rules)) if narrowed else None
     _, project_rules = split_rules(rules)
-    targets: List["tuple[str, str, Optional[str]]"] = []
-    analyses: List[Optional[FileAnalysis]] = []
-    pending: List[int] = []
-    for filename in collect_files(paths):
-        display = _display_path(filename, root)
-        cached = cache.lookup(filename, display) if cache is not None else None
-        if cached is not None:
-            analyses.append(cached)
-            continue
-        targets.append((filename, display, module_name_for(filename)))
-        analyses.append(None)
-        pending.append(len(analyses) - 1)
-    if len(targets) > 1 and jobs > 1:
-        from repro.parallel import run_tasks
-
-        payloads = [(*target, rule_ids) for target in targets]
-        fresh = [
-            FileAnalysis.from_dict(result)
-            for result in run_tasks(_analyze_file_task, payloads, jobs=jobs)
-        ]
-    else:
-        fresh = [
-            _analyze_file(filename, display, module, rules)
-            for filename, display, module in targets
-        ]
-    for target, slot, analysis in zip(targets, pending, fresh):
-        analyses[slot] = analysis
-        if cache is not None:
-            cache.store(target[0], analysis)
-    done: List[FileAnalysis] = [a for a in analyses if a is not None]
+    analyses = [
+        _analyze_file(
+            filename, _display_path(filename, root),
+            module_name_for(filename), rules,
+        )
+        for filename in collect_files(paths)
+    ]
     findings: List[Finding] = []
-    for analysis in done:
+    for analysis in analyses:
         findings.extend(analysis.findings)
-    findings.extend(run_project_rules(done, project_rules))
+    findings.extend(run_project_rules(analyses, project_rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

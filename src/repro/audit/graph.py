@@ -1,20 +1,18 @@
 """Whole-program import/call graph over the audited file set.
 
-PR 4's engine is strictly per-file: a rule sees one
-:class:`~repro.audit.engine.ModuleContext` and nothing else, so a
-sim-scope function that reaches ``time.time()`` through a helper in
-another module is invisible — each file looks innocent on its own. This
+A per-file rule sees one :class:`~repro.audit.engine.ModuleContext`
+and nothing else, so a sim-scope function that reaches ``time.time()``
+through a helper in another module is invisible — each file looks
+innocent on its own. This
 module builds the cross-file view the interprocedural rules
 (:mod:`repro.audit.rules_interproc`) walk:
 
-* :func:`extract_facts` distils one parsed module into serializable
+* :func:`extract_facts` distils one parsed module into
   :class:`ModuleFacts` — its functions/methods, every call site each one
   makes (qualified through the import table where possible), its export
   table (imports *plus* own defs, which is what makes re-exports through
   ``__init__`` resolvable), and its class bases (for method resolution
-  on ``self``). Facts are plain data: the incremental cache
-  (:mod:`repro.audit.cache`) stores them per content hash so warm runs
-  never re-parse.
+  on ``self``).
 * :class:`ProjectIndex` assembles the facts of every audited file and
   resolves call sites across module boundaries: ``from repro.topology
   import Route`` chases the ``__init__`` re-export to
@@ -58,25 +56,6 @@ class CallSite:
     col: int
     line_text: str
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "lineno": self.lineno,
-            "col": self.col,
-            "line_text": self.line_text,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CallSite":
-        return cls(
-            kind=payload["kind"],
-            target=payload["target"],
-            lineno=payload["lineno"],
-            col=payload["col"],
-            line_text=payload["line_text"],
-        )
-
 
 @dataclass
 class FunctionNode:
@@ -89,29 +68,6 @@ class FunctionNode:
     lineno: int
     line_text: str
     calls: List[CallSite] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "qual": self.qual,
-            "module": self.module,
-            "name": self.name,
-            "cls": self.cls,
-            "lineno": self.lineno,
-            "line_text": self.line_text,
-            "calls": [call.to_dict() for call in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FunctionNode":
-        return cls(
-            qual=payload["qual"],
-            module=payload["module"],
-            name=payload["name"],
-            cls=payload["cls"],
-            lineno=payload["lineno"],
-            line_text=payload["line_text"],
-            calls=[CallSite.from_dict(c) for c in payload["calls"]],
-        )
 
 
 @dataclass
@@ -129,27 +85,6 @@ class ModuleFacts:
     exports: Dict[str, str] = field(default_factory=dict)
     class_bases: Dict[str, List[str]] = field(default_factory=dict)
     allowed: Dict[int, List[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "functions": [fn.to_dict() for fn in self.functions],
-            "exports": dict(self.exports),
-            "class_bases": {k: list(v) for k, v in self.class_bases.items()},
-            "allowed": {str(k): sorted(v) for k, v in self.allowed.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModuleFacts":
-        return cls(
-            path=payload["path"],
-            module=payload["module"],
-            functions=[FunctionNode.from_dict(f) for f in payload["functions"]],
-            exports=dict(payload["exports"]),
-            class_bases={k: list(v) for k, v in payload["class_bases"].items()},
-            allowed={int(k): list(v) for k, v in payload["allowed"].items()},
-        )
 
     def allows(self, lineno: int, rule_ids: Sequence[str]) -> bool:
         """True when any of ``rule_ids`` is suppressed on ``lineno``."""

@@ -46,6 +46,7 @@ from repro.analysis.detection import (
 )
 from repro.analysis.overhead import practicality_summary
 from repro.core.params import ProtocolParams
+from repro.exceptions import ReproError
 from repro.experiments.ablations import (
     run_burst_loss,
     run_corollary1,
@@ -864,9 +865,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; a library error (bad parameter values the
+    parser cannot see) ends in one ``error:`` line and exit code 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -30,15 +30,6 @@ class KeyError_(CryptoError):
     """A key lookup failed (unknown node, missing pairwise key)."""
 
 
-class AuthenticationError(CryptoError):
-    """A MAC or onion-report layer failed verification.
-
-    This is the *expected* signal produced when an adversary altered a
-    report: the verification routines raise (or report) it, and the scoring
-    layer converts it into a drop-score increment.
-    """
-
-
 class DecryptionError(CryptoError):
     """An oblivious (PAAI-2) report failed to decode to the expected value."""
 
@@ -63,7 +54,3 @@ class TaskRetryError(ReproError):
     under a :class:`~repro.parallel.engine.RetryPolicy`. The original
     failure is chained as ``__cause__``.
     """
-
-
-class ConvergenceError(ReproError):
-    """An experiment failed to reach the converged condition in its budget."""

@@ -166,10 +166,6 @@ class ChaosReport:
     def errors(self) -> List[ChaosCell]:
         return [cell for cell in self.cells if cell.error is not None]
 
-    @property
-    def false_accusation_cells(self) -> List[ChaosCell]:
-        return [cell for cell in self.cells if cell.false_accusations]
-
     def to_json(self) -> dict:
         return {
             "format": "repro-chaos-report",

@@ -49,7 +49,7 @@ class NodeClock:
     def __init__(self, clock: SimClock, skew: float = 0.0) -> None:
         self._clock = clock
         self._skew = float(skew)
-        self._drift_rate = 0.0
+        self._drift = 0.0
         self._drift_origin = 0.0
 
     @property
@@ -57,24 +57,15 @@ class NodeClock:
         """This node's base clock offset (excluding drift)."""
         return self._skew
 
-    def set_skew(self, skew: float) -> None:
-        """Replace the base offset (fault injection: a clock *step*)."""
-        self._skew = float(skew)
-
     def step(self, delta: float) -> None:
         """Shift the base offset by ``delta`` (relative clock step)."""
         self._skew += float(delta)
-
-    @property
-    def drift_rate(self) -> float:
-        """Seconds of extra offset accumulated per simulated second."""
-        return self._drift_rate
 
     def set_drift(self, rate: float, origin: float = 0.0) -> None:
         """Make the offset grow linearly: ``rate`` seconds per simulated
         second, measured from engine time ``origin`` (fault injection:
         a drifting oscillator). ``rate=0`` restores a constant skew."""
-        self._drift_rate = float(rate)
+        self._drift = float(rate)
         self._drift_origin = float(origin)
 
     @property
@@ -82,8 +73,8 @@ class NodeClock:
         """The node's local time."""
         engine_now = self._clock.now
         local = engine_now + self._skew
-        if self._drift_rate:
-            local += self._drift_rate * (engine_now - self._drift_origin)
+        if self._drift:
+            local += self._drift * (engine_now - self._drift_origin)
         return local
 
     def is_fresh(self, timestamp: float, max_age: float) -> bool:

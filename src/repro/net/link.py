@@ -17,9 +17,8 @@ paper emulates a compromised node that drops traffic flowing through it).
 
 Observability: links expose a **public hook API** — register a
 :class:`LinkObserver` with :meth:`Link.add_listener` to see every
-transmission, natural loss, and delivery without touching link internals
-(this replaced the old tracer's monkey-patching of ``transmit`` and
-``_receivers``). Listeners registered at any time see all subsequent
+transmission, natural loss, and delivery without touching link
+internals. Listeners registered at any time see all subsequent
 events: the delivery callback is resolved when the packet *arrives*, not
 when it was sent. With a metrics registry active at construction, links
 also publish per-link transmission/loss/byte counters.

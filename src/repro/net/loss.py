@@ -92,25 +92,20 @@ class GilbertElliottLoss(LossModel):
         self._bad_loss = bad_loss
         self._p_gb = p_gb
         self._p_bg = p_bg
-        self._in_bad_state = False
+        self._bad = False
 
     def is_lost(self, rng: random.Random) -> bool:
         # Transition first, then draw loss from the current state.
-        if self._in_bad_state:
+        if self._bad:
             if rng.random() < self._p_bg:
-                self._in_bad_state = False
+                self._bad = False
         else:
             if rng.random() < self._p_gb:
-                self._in_bad_state = True
-        rate = self._bad_loss if self._in_bad_state else self._good_loss
+                self._bad = True
+        rate = self._bad_loss if self._bad else self._good_loss
         return rng.random() < rate
 
     @property
     def average_rate(self) -> float:
         pi_bad = self._p_gb / (self._p_gb + self._p_bg)
         return pi_bad * self._bad_loss + (1 - pi_bad) * self._good_loss
-
-    @property
-    def in_bad_state(self) -> bool:
-        """Current Markov state (exposed for tests)."""
-        return self._in_bad_state

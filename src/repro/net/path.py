@@ -136,15 +136,6 @@ class Path:
         for link in self.links:
             link.add_listener(observer)
 
-    def remove_observer(self, observer: PathObserver) -> None:
-        """Detach ``observer`` from every link and from node-drop events."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-        for link in self.links:
-            link.remove_listener(observer)
-
     def notify_node_drop(self, node: Node, packet: Packet,
                          direction: Direction, cause: str) -> None:
         """Called by nodes when their adversary strategy drops a packet."""
@@ -227,26 +218,6 @@ class Path:
         return " ".join(parts)
 
     # -- ground truth -----------------------------------------------------
-
-    def wire_overhead_ratio(self) -> float:
-        """Protocol (non-data) bytes per data byte, summed over all links.
-
-        This is the on-the-wire view of Table 1's communication-overhead
-        column: every traversal of every link is weighed by packet size.
-        """
-        from repro.net.packets import PacketKind
-
-        data_bytes = 0
-        other_bytes = 0
-        for link in self.links:
-            for kind, size in link.stats.bytes_sent.items():
-                if kind is PacketKind.DATA:
-                    data_bytes += size
-                else:
-                    other_bytes += size
-        if data_bytes == 0:
-            return 0.0
-        return other_bytes / data_bytes
 
     def true_link_rates(self) -> List[float]:
         """Configured average natural loss per link (forward direction)."""

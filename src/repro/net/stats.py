@@ -55,9 +55,6 @@ class NodeDropStats:
     def record(self, packet: Packet, direction: Direction) -> None:
         self.drops[(packet.kind, direction)] += 1
 
-    def total(self) -> int:
-        return sum(self.drops.values())
-
 
 class PathStats:
     """Aggregated statistics for one monitored path."""
@@ -91,19 +88,8 @@ class PathStats:
     def node_drop_stats(self, position: int) -> NodeDropStats:
         return self.node_drops.setdefault(position, NodeDropStats())
 
-    @property
-    def end_to_end_drop_rate(self) -> float:
-        """Observed ψ: fraction of data packets that never reached D."""
-        if self.data_sent == 0:
-            return 0.0
-        return 1.0 - self.data_delivered / self.data_sent
-
     def overhead_ratio(self) -> float:
         """Protocol bytes per data byte — the §9 'additional overhead'."""
         if self.data_bytes == 0:
             return 0.0
         return sum(self.overhead_bytes.values()) / self.data_bytes
-
-    def true_malicious_drops(self) -> int:
-        """Total deliberate drops across all adversarial nodes."""
-        return sum(stats.total() for stats in self.node_drops.values())

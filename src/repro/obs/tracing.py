@@ -153,7 +153,7 @@ class RoundTraceCollector:
     ----------
     capacity:
         Maximum retained spans; the oldest span is evicted beyond it, so
-        long runs stay bounded (like the tracer's ring buffer).
+        long runs stay bounded.
 
     The collector implements the :class:`repro.net.path.PathObserver`
     interface and can be attached to any number of paths (spans carry the
@@ -174,9 +174,6 @@ class RoundTraceCollector:
         """Subscribe to ``path``'s link and node events."""
         self._path_lengths[path.path_id] = path.length
         path.add_observer(self)
-
-    def detach(self, path) -> None:
-        path.remove_observer(self)
 
     # -- PathObserver interface --------------------------------------------
 

@@ -345,14 +345,6 @@ class RoutePath:
         for link in self.links:
             link.add_listener(observer)
 
-    def remove_observer(self, observer: PathObserver) -> None:
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-        for link in self.links:
-            link.remove_listener(observer)
-
     def notify_node_drop(self, node: Node, packet: Packet,
                          direction: Direction, cause: str) -> None:
         if self._metrics is not None:

@@ -110,14 +110,6 @@ class TestCliOptions:
         assert log["version"] == "2.1.0"
         assert log["runs"][0]["tool"]["driver"]["name"] == "repro-audit"
 
-    def test_cache_flag_persists_and_reuses(self, tmp_path, capsys):
-        cache_path = tmp_path / "cache.json"
-        assert main([SRC, "--cache", str(cache_path)]) == 0
-        assert cache_path.exists()
-        first = capsys.readouterr().out
-        assert main([SRC, "--cache", str(cache_path)]) == 0
-        assert capsys.readouterr().out == first
-
     def test_tests_tree_gated_against_committed_baseline(
         self, monkeypatch, capsys
     ):

@@ -3,6 +3,9 @@ structurally correct output whose headline numbers land in the paper's
 bands (at reduced run counts for test speed)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -187,6 +190,25 @@ class TestCli:
     def test_ablation_corollary3(self, capsys):
         assert cli_main(["ablation", "corollary3"]) == 0
         assert "Corollary 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["figure2", "--runs", "0"],
+        ["figure2", "--horizon", "-5"],
+        ["netexp", "--paths", "0"],
+        ["netexp", "--topology", "fat-tree", "--size", "3"],
+        ["netexp", "--rho", "-0.1"],
+    ])
+    def test_invalid_parameter_exits_2_with_one_line(self, argv):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in result.stderr
 
 
 class TestCorollary2:

@@ -12,7 +12,6 @@ import textwrap
 from repro.audit.engine import analyze_source
 from repro.audit.graph import (
     MODULE_BODY,
-    ModuleFacts,
     ProjectIndex,
     find_sink_chains,
 )
@@ -94,26 +93,6 @@ class TestFactExtraction:
         )
         (run,) = [f for f in facts.functions if f.name == "run"]
         assert [c.target for c in run.calls] == ["util.default_limit"]
-
-    def test_facts_round_trip_through_dicts(self):
-        facts = facts_for(
-            """
-            import time
-
-
-            class Base:
-                pass
-
-
-            class Derived(Base):
-                def tick(self):  # repro: allow(ST001)
-                    return time.time()
-            """,
-            "pkg.mod",
-        )
-        clone = ModuleFacts.from_dict(facts.to_dict())
-        assert clone.to_dict() == facts.to_dict()
-        assert clone.class_bases["Derived"] == ["Base"]
 
 
 class TestResolution:
