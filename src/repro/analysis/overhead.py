@@ -99,6 +99,9 @@ def practicality_summary(params: ProtocolParams, sending_rate: float) -> Dict[st
     """§9's practicality numbers for each protocol at one sending rate."""
     from repro.analysis.detection import detection_packets
 
+    if sending_rate <= 0:
+        raise ConfigurationError("sending rate must be positive")
+
     summary: Dict[str, Dict] = {}
     for name in ("full-ack", "paai1", "paai2", "statfl", "combo1", "combo2"):
         summary[name] = {

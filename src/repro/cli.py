@@ -46,7 +46,7 @@ from repro.analysis.detection import (
 )
 from repro.analysis.overhead import practicality_summary
 from repro.core.params import ProtocolParams
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.ablations import (
     run_burst_loss,
     run_corollary1,
@@ -116,8 +116,8 @@ def _observability(args, wire_protocol: Optional[str] = None, seed: int = 0):
     ledger_out = getattr(args, "ledger_out", None)
     profile = getattr(args, "profile", False)
     if profile and not metrics_out:
-        raise SystemExit(
-            "error: --profile exports through the metrics snapshot; "
+        raise ConfigurationError(
+            "--profile exports through the metrics snapshot; "
             "add --metrics-out FILE"
         )
     if not metrics_out and not trace_out and not ledger_out:
@@ -191,8 +191,8 @@ def _check_output_dirs(*paths: Optional[str]) -> None:
         if out:
             parent = os.path.dirname(out) or "."
             if not os.path.isdir(parent):
-                raise SystemExit(
-                    f"error: output directory does not exist: {parent}"
+                raise ConfigurationError(
+                    f"output directory does not exist: {parent}"
                 )
 
 
@@ -333,7 +333,7 @@ def _cmd_report(args) -> None:
               file=sys.stderr)
         jobs = 1
     retry = None
-    if args.max_attempts > 1 or args.task_timeout is not None:
+    if args.max_attempts != 1 or args.task_timeout is not None:
         from repro.parallel.engine import RetryPolicy
 
         retry = RetryPolicy(
@@ -430,7 +430,7 @@ def _cmd_netexp(args) -> None:
             args.topology, args.size, degree=args.degree, seed=args.seed
         )
         routes = generate_routes(topology, args.paths, seed=args.seed)
-        if args.adversaries > 0:
+        if args.adversaries != 0:  # negative counts reach the validators
             if args.on_shared:
                 for link_id in most_shared_links(
                     routes, count=args.adversaries
@@ -478,7 +478,6 @@ def _cmd_netexp(args) -> None:
 
 
 def _cmd_explain(args) -> None:
-    from repro.exceptions import ConfigurationError
     from repro.obs.ledger import (
         ledger_runs,
         read_ledger_jsonl,
@@ -495,14 +494,7 @@ def _cmd_explain(args) -> None:
                 file=sys.stderr,
             )
             raise SystemExit(2)
-    try:
-        entries = read_ledger_jsonl(args.ledger)
-    except OSError as exc:
-        print(f"explain: cannot read ledger: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    except ConfigurationError as exc:
-        print(f"explain: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    entries = read_ledger_jsonl(args.ledger)
     if not entries:
         print(
             f"explain: ledger {args.ledger} contains no entries",
@@ -865,15 +857,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; a library error (bad parameter values the
-    parser cannot see) ends in one ``error:`` line and exit code 2."""
+    """Run one subcommand and return 0.
+
+    A library error (bad parameter values the parser cannot see) or an
+    unreadable/unwritable file ends in one ``error:`` line and
+    ``SystemExit(2)``, the exit argparse itself uses for bad argv.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise SystemExit(2) from None
     return 0
 
 

@@ -36,7 +36,12 @@ from repro.metrics.convergence import first_exact_round
 from repro.net.backend import BACKEND_NAMES, DetectionRequest, get_backend
 from repro.obs.ledger import get_ledger
 from repro.obs.profile import phase as profile_phase
-from repro.parallel.engine import run_tasks, shard_seed, shard_sizes
+from repro.parallel.engine import (
+    resolve_jobs,
+    run_tasks,
+    shard_seed,
+    shard_sizes,
+)
 from repro.protocols import models
 from repro.workloads.scenarios import Scenario
 
@@ -218,6 +223,7 @@ class DetectionExperiment:
         concatenated in shard order, so parallelism only changes
         wall-clock time.
         """
+        jobs = resolve_jobs(jobs)
         engines: List[str] = []
         reasons: List[str] = []
         if self.shards == 1:

@@ -12,6 +12,10 @@ Round semantics as implemented (and mirrored by the fast outcome model):
   ``i = d`` means the data reached D (only the ack was lost) → no blame;
   ``i < d`` blames link ``l_i``;
 * no report at all within the wait-time → blame ``l_0`` (footnote 8).
+
+This round lives only here and in the shared onion agents: sig-ack
+(footnote 1) and §10 Combination 1 run on these same agents and override
+just their crypto methods or the source's sampling gate.
 """
 
 from __future__ import annotations
@@ -38,14 +42,33 @@ from repro.protocols.onion_common import (
 
 
 class FullAckSource(SourceAgent):
-    """Source agent for the full-ack protocol."""
+    """Source agent for the full-ack protocol.
+
+    The crypto it applies is confined to :meth:`_init_crypto`,
+    :meth:`_ack_valid`, :meth:`_report_depth` and :attr:`ack_fault`;
+    everything else is the protocol round.
+    """
+
+    #: Fault recorded when an e2e ack fails verification.
+    ack_fault = "ack_mac_failure"
 
     def __init__(self, protocol: "FullAckProtocol") -> None:
         super().__init__(protocol)
-        self.verifier = OnionVerifier(self.keys.all_mac_keys())
         self.monitor = EndToEndMonitor(self.params.psi_threshold)
         self._estimator = DirectEstimator(self.board)
+        self._init_crypto()
+
+    # -- crypto ----------------------------------------------------------------
+
+    def _init_crypto(self) -> None:
+        self.verifier = OnionVerifier(self.keys.all_mac_keys())
         self._dest_mac_key = self.keys.mac_key(self.params.path_length)
+
+    def _ack_valid(self, ack: AckPacket) -> bool:
+        return verify_mac(self._dest_mac_key, ack.identifier, ack.report)
+
+    def _report_depth(self, ack: AckPacket) -> int:
+        return effective_onion_depth(self.verifier, ack.report, ack.identifier)
 
     # -- sending ------------------------------------------------------------
 
@@ -71,9 +94,9 @@ class FullAckSource(SourceAgent):
         entry = self.pending.get(ack.identifier)
         if entry is None or entry["probed"]:
             return
-        if not verify_mac(self._dest_mac_key, ack.identifier, ack.report):
+        if not self._ack_valid(ack):
             self.obs_mac_failures.inc()
-            self.record_fault("ack_mac_failure")
+            self.record_fault(self.ack_fault)
             return  # forged/altered ack: treated as absent (drop semantics)
         entry["handle"].cancel()
         self.pending.pop(ack.identifier)
@@ -105,7 +128,7 @@ class FullAckSource(SourceAgent):
             return
         entry["handle"].cancel()
         self.pending.pop(ack.identifier)
-        depth = effective_onion_depth(self.verifier, ack.report, ack.identifier)
+        depth = self._report_depth(ack)
         if depth < self.params.path_length:
             self.board.add(depth)
         self.board.record_round()
@@ -140,15 +163,19 @@ class FullAckProtocol(WireProtocol):
     name = "full-ack"
     #: e2e ack + onion-probe lifecycle, replayable by repro.net.fastpath.
     fastpath_family = "onion-ack"
+    #: Source, forwarder and destination classes; sig-ack swaps in its
+    #: signature-crypto subclasses.
+    agent_classes = (FullAckSource, OnionForwarder, OnionDestination)
 
     def _build_nodes(self):
-        params = self.params
-        source = FullAckSource(self)
+        source_class, forwarder_class, destination_class = self.agent_classes
+        hold = 2.0 * self.params.r0
+        source = source_class(self)
         forwarders = [
-            OnionForwarder(self, position, hold=2.0 * params.r0, e2e_policy="pop")
-            for position in range(1, params.path_length)
+            forwarder_class(self, position, hold=hold, e2e_policy="pop")
+            for position in range(1, self.params.path_length)
         ]
-        destination = OnionDestination(
-            self, hold=2.0 * params.r0, ack_predicate=lambda packet: True
+        destination = destination_class(
+            self, hold=hold, ack_predicate=lambda packet: True
         )
         return [source, *forwarders, destination]

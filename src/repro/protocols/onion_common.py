@@ -1,9 +1,11 @@
-"""Shared agents for the onion-report protocols (full-ack, PAAI-1, §10
-Combination 1).
+"""Shared agents for the onion-report protocols (full-ack, sig-ack, PAAI-1,
+§10 Combination 1).
 
-All three protocols use the same probe/onion machinery on intermediate
-nodes and the destination; they differ only in *when* the source probes
-and how long nodes hold per-packet state. The forwarder implements the
+All four protocols use the same probe/onion machinery on intermediate
+nodes and the destination; they differ only in *when* the source probes,
+how long nodes hold per-packet state, and — for sig-ack — which crypto
+builds the ack tag and the report layers (the ``_ack_tag``,
+``_originate`` and ``_wrap`` methods). The forwarder implements the
 paper's phase-3 rules, including report *regeneration*: a node whose
 report wait-timer expires without a downstream ack originates its own
 onion layer — this is what pins a report dropped on link ``l_i`` to depth
@@ -155,9 +157,7 @@ class OnionForwarder(ForwarderAgent):
         if entry is None or not entry["probed"]:
             return
         entry["report_handle"].cancel()
-        wrapped = OnionReport.wrap(
-            self.position, ack.identifier, ack.report, self.mac_key
-        )
+        wrapped = self._wrap(ack.identifier, ack.report)
         self.store.pop(ack.identifier, self.now)
         self.send_backward(
             AckPacket.create(
@@ -181,13 +181,21 @@ class OnionForwarder(ForwarderAgent):
         if entry is None:
             return
         # Rule (a): no downstream ack in time -> originate an onion report.
-        report = OnionReport.originate(self.position, identifier, self.mac_key)
+        report = self._originate(identifier)
         self.store.pop(identifier, self.now)
         self.send_backward(
             AckPacket.create(
                 identifier, report=report, origin=self.position, is_report=True
             )
         )
+
+    # -- crypto ---------------------------------------------------------------
+
+    def _originate(self, identifier: bytes) -> bytes:
+        return OnionReport.originate(self.position, identifier, self.mac_key)
+
+    def _wrap(self, identifier: bytes, inner: bytes) -> bytes:
+        return OnionReport.wrap(self.position, identifier, inner, self.mac_key)
 
 
 class OnionDestination(DestinationAgent):
@@ -224,11 +232,11 @@ class OnionDestination(DestinationAgent):
         )
         self.path.stats.record_data_delivered()
         if self._ack_predicate(packet):
-            tag = mac(self.mac_key, identifier)
             self.send_backward(
                 AckPacket.create(
-                    identifier, report=tag, origin=self.position,
-                    sequence=packet.sequence, is_report=False,
+                    identifier, report=self._ack_tag(identifier),
+                    origin=self.position, sequence=packet.sequence,
+                    is_report=False,
                 )
             )
 
@@ -242,7 +250,7 @@ class OnionDestination(DestinationAgent):
             return
         entry["hold_handle"].cancel()
         self.store.pop(probe.identifier, self.now)
-        report = OnionReport.originate(self.position, probe.identifier, self.mac_key)
+        report = self._originate(probe.identifier)
         self.send_backward(
             AckPacket.create(
                 probe.identifier, report=report, origin=self.position, is_report=True
@@ -252,3 +260,11 @@ class OnionDestination(DestinationAgent):
     def _expire_hold(self, identifier: bytes) -> None:
         if identifier in self.store:
             self.store.pop(identifier, self.now)
+
+    # -- crypto ---------------------------------------------------------------
+
+    def _ack_tag(self, identifier: bytes) -> bytes:
+        return mac(self.mac_key, identifier)
+
+    def _originate(self, identifier: bytes) -> bytes:
+        return OnionReport.originate(self.position, identifier, self.mac_key)

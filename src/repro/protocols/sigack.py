@@ -1,7 +1,11 @@
 """Sig-ack: the asymmetric-cryptography AAI variant of footnote 1.
 
-Structurally this is the full-ack protocol with every MAC replaced by a
-hash-based signature (:mod:`repro.crypto.wots` / :mod:`repro.crypto.merkle`):
+This is the full-ack protocol with every MAC replaced by a hash-based
+signature (:mod:`repro.crypto.wots` / :mod:`repro.crypto.merkle`). It runs
+on full-ack's agents — the classes here subclass
+:class:`~repro.protocols.fullack.FullAckSource` and the shared onion
+forwarder/destination and override only their crypto methods — so the
+round is full-ack's and only the signature format is this module's:
 
 * the destination's per-packet ack is a signature over the identifier;
 * probe responses are *signature onions* — each node wraps the downstream
@@ -22,10 +26,8 @@ concrete; detection behavior is identical to full-ack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.estimators import DirectEstimator
-from repro.core.monitor import EndToEndMonitor
 from repro.crypto.merkle import (
     MerkleSigner,
     MerkleVerifier,
@@ -33,22 +35,9 @@ from repro.crypto.merkle import (
     encode_signature,
 )
 from repro.exceptions import ConfigurationError
-from repro.net.packets import (
-    AckPacket,
-    DataPacket,
-    Direction,
-    Packet,
-    PacketKind,
-    ProbePacket,
-)
-from repro.protocols.base import (
-    DestinationAgent,
-    ForwarderAgent,
-    SourceAgent,
-    WireProtocol,
-    is_e2e_ack,
-    is_report_ack,
-)
+from repro.net.packets import AckPacket
+from repro.protocols.fullack import FullAckProtocol, FullAckSource
+from repro.protocols.onion_common import OnionDestination, OnionForwarder
 
 _HEADER = 2 + 4 + 4  # position, payload length, inner length
 
@@ -98,117 +87,37 @@ class _SigVerifierSet:
         )
 
 
-def _encode_layer(position: int, payload: bytes, inner: bytes, signature: bytes) -> bytes:
-    header = (
-        position.to_bytes(2, "big")
-        + len(payload).to_bytes(4, "big")
-        + len(inner).to_bytes(4, "big")
-    )
-    return header + payload + inner + signature
-
-
-def _signed_body(position: int, payload: bytes, inner: bytes) -> bytes:
-    return (
-        position.to_bytes(2, "big")
+def _signed_layer(node, payload: bytes, inner: bytes) -> bytes:
+    """One signature-onion layer from ``node``: header, payload, inner
+    report, then the node's signature over all of it."""
+    body = (
+        node.position.to_bytes(2, "big")
         + len(payload).to_bytes(4, "big")
         + len(inner).to_bytes(4, "big")
         + payload
         + inner
     )
+    return body + node.protocol.pools[node.position].sign(body)
 
 
-class SigAckSource(SourceAgent):
-    """Source for the sig-ack protocol (full-ack flow, signature checks)."""
+class SigAckSource(FullAckSource):
+    """Full-ack source that verifies signatures instead of MACs."""
 
-    def __init__(self, protocol: "SigAckProtocol") -> None:
-        super().__init__(protocol)
-        self.monitor = EndToEndMonitor(self.params.psi_threshold)
-        self._estimator = DirectEstimator(self.board)
-        self._verifiers = protocol.verifiers
+    ack_fault = "ack_signature_failure"
 
-    def _after_send(self, packet: DataPacket) -> None:
-        identifier = packet.identifier
-        self.monitor.record_sent()
-        self.pending[identifier] = {
-            "sequence": packet.sequence,
-            "probed": False,
-            "handle": self.timer_with_slack(
-                self.params.r0, lambda: self._on_ack_timeout(identifier)
-            ),
-        }
+    def _init_crypto(self) -> None:
+        # Signature verifiers only: sig-ack derives no MAC key state.
+        self._verifiers = self.protocol.verifiers
 
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if is_e2e_ack(packet, direction):
-            self._on_e2e_ack(packet)
-        elif is_report_ack(packet, direction):
-            self._on_report(packet)
-
-    def _on_e2e_ack(self, ack: AckPacket) -> None:
-        entry = self.pending.get(ack.identifier)
-        if entry is None or entry["probed"]:
-            return
+    def _ack_valid(self, ack: AckPacket) -> bool:
         dest = self.params.path_length
-        if not self._verifiers[dest].verify(b"e2e" + ack.identifier, ack.report):
-            self.obs_mac_failures.inc()
-            self.record_fault("ack_signature_failure")
-            return  # forged/altered ack: treated as absent (drop semantics)
-        entry["handle"].cancel()
-        self.pending.pop(ack.identifier)
-        self.monitor.record_acknowledged()
-        self.obs_acks_verified.inc()
-        self.board.record_round()
-        self.observe_round(entry)
+        return self._verifiers[dest].verify(b"e2e" + ack.identifier, ack.report)
 
-    def _on_ack_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        entry["probed"] = True
-        entry["probe_attempts"] = 0
-        self._probe(identifier, entry)
-
-    def _probe(self, identifier: bytes, entry: dict) -> None:
-        probe = ProbePacket.create(identifier, sequence=entry["sequence"])
-        self.path.stats.record_overhead(probe)
-        self.send_forward(probe)
-        self.obs_probes_sent.inc()
-        entry["handle"] = self.timer_with_slack(
-            self.params.r0, lambda: self._on_report_timeout(identifier)
-        )
-
-    def _on_report(self, ack: AckPacket) -> None:
-        entry = self.pending.get(ack.identifier)
-        if entry is None or not entry["probed"]:
-            return
-        entry["handle"].cancel()
-        self.pending.pop(ack.identifier)
-        depth = self._verify_chain(ack.report, ack.identifier)
-        if depth < self.params.path_length:
-            self.board.add(depth)
-        self.board.record_round()
-        self.observe_round(entry)
-
-    def _on_report_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        # Degraded mode (probe_retries > 0): re-send the probe a bounded
-        # number of times before scoring the round.
-        if entry["probe_attempts"] < self.params.probe_retries:
-            entry["probe_attempts"] += 1
-            self._probe(identifier, entry)
-            return
-        self.pending.pop(identifier)
-        self.obs_report_timeouts.inc()
-        self.board.add(0)
-        self.board.record_round()
-        self.observe_round(entry)
-
-    def _verify_chain(self, report: Optional[bytes], identifier: bytes) -> int:
+    def _report_depth(self, ack: AckPacket) -> int:
         """Walk the signature onion outside-in; return the effective depth."""
         depth = 0
         expected = 1
-        remaining = report
+        remaining = ack.report
         while remaining:
             if expected > self.params.path_length or len(remaining) < _HEADER:
                 break
@@ -221,156 +130,37 @@ class SigAckSource(SourceAgent):
             if len(remaining) < end:
                 break
             payload = remaining[_HEADER : _HEADER + payload_len]
-            inner = remaining[_HEADER + payload_len : end]
-            signature = remaining[end:]
-            body = _signed_body(position, payload, inner)
-            if payload != identifier:
+            if payload != ack.identifier:
                 break
-            if not self._verifiers[position].verify(body, signature):
+            if not self._verifiers[position].verify(remaining[:end], remaining[end:]):
                 break
             depth = position
             expected += 1
-            remaining = inner
+            remaining = remaining[_HEADER + payload_len : end]
         return depth
 
-    def estimates(self) -> List[float]:
-        return self._estimator.estimates()
+
+class SigAckForwarder(OnionForwarder):
+    """Full-ack forwarder whose report layers are signed, not MACed."""
+
+    def _originate(self, identifier: bytes) -> bytes:
+        return _signed_layer(self, identifier, b"")
+
+    def _wrap(self, identifier: bytes, inner: bytes) -> bytes:
+        return _signed_layer(self, identifier, inner)
 
 
-class SigAckForwarder(ForwarderAgent):
-    """Forwarder: signature-onion analog of the full-ack forwarder."""
+class SigAckDestination(OnionDestination):
+    """Full-ack destination that signs every ack and probe response."""
 
-    def __init__(self, protocol: "SigAckProtocol", position: int) -> None:
-        super().__init__(protocol, position)
-        self.pool = protocol.pools[position]
-        self._hold = 2.0 * protocol.params.r0
+    def _ack_tag(self, identifier: bytes) -> bytes:
+        return self.protocol.pools[self.position].sign(b"e2e" + identifier)
 
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if direction is Direction.FORWARD and packet.kind is PacketKind.DATA:
-            self._on_data(packet)
-        elif direction is Direction.FORWARD and packet.kind is PacketKind.PROBE:
-            self._on_probe(packet)
-        elif is_e2e_ack(packet, direction):
-            self._on_e2e_ack(packet)
-        elif is_report_ack(packet, direction):
-            self._on_report(packet)
-
-    def _on_data(self, packet: DataPacket) -> None:
-        if not self.is_fresh(packet):
-            return
-        identifier = packet.identifier
-        entry = self.store.add(identifier, self.now, probed=False)
-        entry["hold_handle"] = self.timer_with_slack(
-            self._hold, lambda: self._expire(identifier)
-        )
-        self.send_forward(packet)
-
-    def _on_probe(self, probe: ProbePacket) -> None:
-        entry = self.store.get(probe.identifier)
-        if entry is None or entry["probed"]:
-            return
-        entry["probed"] = True
-        entry["hold_handle"].cancel()
-        identifier = probe.identifier
-        entry["report_handle"] = self.timer_with_slack(
-            self.rtt_to_destination(), lambda: self._report_timeout(identifier)
-        )
-        self.send_forward(probe)
-
-    def _on_e2e_ack(self, ack: AckPacket) -> None:
-        entry = self.store.get(ack.identifier)
-        if entry is None or entry["probed"]:
-            return
-        entry["hold_handle"].cancel()
-        self.store.pop(ack.identifier, self.now)
-        self.send_backward(ack)
-
-    def _on_report(self, ack: AckPacket) -> None:
-        entry = self.store.get(ack.identifier)
-        if entry is None or not entry["probed"]:
-            return
-        entry["report_handle"].cancel()
-        self.store.pop(ack.identifier, self.now)
-        self._emit(ack.identifier, inner=ack.report, sequence=ack.sequence)
-
-    def _report_timeout(self, identifier: bytes) -> None:
-        if identifier not in self.store:
-            return
-        self.store.pop(identifier, self.now)
-        self._emit(identifier, inner=b"", sequence=0)
-
-    def _emit(self, identifier: bytes, inner: bytes, sequence: int) -> None:
-        body = _signed_body(self.position, identifier, inner)
-        layer = _encode_layer(
-            self.position, identifier, inner, self.pool.sign(body)
-        )
-        self.send_backward(
-            AckPacket.create(
-                identifier, report=layer, origin=self.position,
-                sequence=sequence, is_report=True,
-            )
-        )
-
-    def _expire(self, identifier: bytes) -> None:
-        entry = self.store.get(identifier)
-        if entry is not None and not entry["probed"]:
-            self.store.pop(identifier, self.now)
+    def _originate(self, identifier: bytes) -> bytes:
+        return _signed_layer(self, identifier, b"")
 
 
-class SigAckDestination(DestinationAgent):
-    """Destination: signs every ack and every probe response."""
-
-    def __init__(self, protocol: "SigAckProtocol") -> None:
-        super().__init__(protocol)
-        self.pool = protocol.pools[self.position]
-        self._hold = 2.0 * protocol.params.r0
-
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if direction is Direction.FORWARD and packet.kind is PacketKind.DATA:
-            self._on_data(packet)
-        elif direction is Direction.FORWARD and packet.kind is PacketKind.PROBE:
-            self._on_probe(packet)
-
-    def _on_data(self, packet: DataPacket) -> None:
-        if not self.is_fresh(packet):
-            return
-        identifier = packet.identifier
-        entry = self.store.add(identifier, self.now)
-        entry["hold_handle"] = self.timer_with_slack(
-            self._hold, lambda: self._expire(identifier)
-        )
-        self.path.stats.record_data_delivered()
-        self.send_backward(
-            AckPacket.create(
-                identifier,
-                report=self.pool.sign(b"e2e" + identifier),
-                origin=self.position,
-                sequence=packet.sequence,
-                is_report=False,
-            )
-        )
-
-    def _on_probe(self, probe: ProbePacket) -> None:
-        entry = self.store.get(probe.identifier)
-        if entry is None:
-            return
-        entry["hold_handle"].cancel()
-        self.store.pop(probe.identifier, self.now)
-        identifier = probe.identifier
-        body = _signed_body(self.position, identifier, b"")
-        layer = _encode_layer(self.position, identifier, b"", self.pool.sign(body))
-        self.send_backward(
-            AckPacket.create(
-                identifier, report=layer, origin=self.position, is_report=True
-            )
-        )
-
-    def _expire(self, identifier: bytes) -> None:
-        if identifier in self.store:
-            self.store.pop(identifier, self.now)
-
-
-class SigAckProtocol(WireProtocol):
+class SigAckProtocol(FullAckProtocol):
     """Wire instance of the footnote-1 asymmetric AAI variant.
 
     Parameters
@@ -382,8 +172,8 @@ class SigAckProtocol(WireProtocol):
 
     name = "sig-ack"
     #: Draw-identical to full-ack on the wire (signatures consume no
-    #: stream draws), so it shares the onion-ack fastpath replay.
-    fastpath_family = "onion-ack"
+    #: stream draws), so it keeps full-ack's onion-ack fastpath replay.
+    agent_classes = (SigAckSource, SigAckForwarder, SigAckDestination)
 
     def __init__(self, *args, pool_height: int = 6, **kwargs) -> None:
         self._pool_height = pool_height
@@ -399,10 +189,7 @@ class SigAckProtocol(WireProtocol):
             )
             self.pools[position] = pool
             self.verifiers[position] = _SigVerifierSet(pool)
-        source = SigAckSource(self)
-        forwarders = [SigAckForwarder(self, i) for i in range(1, d)]
-        destination = SigAckDestination(self)
-        return [source, *forwarders, destination]
+        return super()._build_nodes()
 
     def total_key_regenerations(self) -> int:
         return sum(pool.key_regenerations for pool in self.pools.values())

@@ -197,13 +197,23 @@ class TestCli:
         ["netexp", "--paths", "0"],
         ["netexp", "--topology", "fat-tree", "--size", "3"],
         ["netexp", "--rho", "-0.1"],
+        ["practicality", "--rate", "0"],
+        ["obs", "summary", "--metrics", "missing.json"],
+        ["obs", "summary", "--trace", "missing.jsonl"],
+        ["figure3", "--profile"],
+        ["figure3", "--metrics-out", "missing-dir/m.json"],
+        ["figure2", "--jobs", "-3", "--runs", "10"],
+        ["table2", "--jobs", "-1", "--runs", "10"],
+        ["report", "--max-attempts", "0"],
+        ["netexp", "--adversaries", "-1"],
     ])
-    def test_invalid_parameter_exits_2_with_one_line(self, argv):
+    def test_invalid_parameter_exits_2_with_one_line(self, argv, tmp_path):
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        # An empty working directory: the "missing" files really are.
         result = subprocess.run(
             [sys.executable, "-m", "repro.cli", *argv],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, cwd=tmp_path,
         )
         assert result.returncode == 2
         lines = result.stderr.splitlines()

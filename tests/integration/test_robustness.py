@@ -207,8 +207,8 @@ class TestCorruptCheckpoints:
 
 
 class TestDegradedAckHandling:
-    def _protocol(self, name, seed=0):
-        params = ProtocolParams(natural_loss=0.0)
+    def _protocol(self, name, seed=0, **overrides):
+        params = ProtocolParams(natural_loss=0.0, **overrides)
         simulator = Simulator(seed=seed)
         return simulator, make_protocol(name, simulator, params)
 
@@ -216,9 +216,12 @@ class TestDegradedAckHandling:
         ("full-ack", "ack_mac_failure"),
         ("paai2", "ack_mac_failure"),
         ("sig-ack", "ack_signature_failure"),
+        ("combo1", "ack_mac_failure"),
     ])
     def test_malformed_ack_is_counted_and_dropped(self, name, fault):
-        simulator, protocol = self._protocol(name)
+        # Combination 1 only keeps a round for sampled packets: sample all.
+        overrides = {"probe_frequency": 1.0} if name == "combo1" else {}
+        simulator, protocol = self._protocol(name, **overrides)
         packet = protocol.source.send_data()
         forged = AckPacket.create(
             identifier=packet.identifier,
@@ -229,6 +232,25 @@ class TestDegradedAckHandling:
         assert protocol.source.fault_counts[fault] == 1
         # The round is still pending — a forged ack must not settle it.
         assert packet.identifier in protocol.source.pending
+
+    @pytest.mark.parametrize("name,overrides", [
+        ("full-ack", {}),
+        ("combo1", {"probe_frequency": 1.0}),
+    ])
+    def test_probe_retries_resend_unanswered_probes(self, name, overrides):
+        """With l_0 dead no probe is ever answered: each of the 10 rounds
+        sends its probe once plus ``probe_retries`` more times before
+        footnote 8 blames l_0."""
+        params = ProtocolParams(probe_retries=2, **overrides)
+        simulator = Simulator(seed=0)
+        protocol = make_protocol(
+            name, simulator, params,
+            natural_loss=[1.0] + [0.0] * (params.path_length - 1),
+        )
+        # Each round waits r0 for the ack and r0 per probe attempt.
+        protocol.run_traffic(count=10, rate=100.0, drain=8.0 * params.r0)
+        assert protocol.path.stats.overhead_packets[PacketKind.PROBE] == 30
+        assert protocol.board.scores[0] == protocol.board.rounds == 10
 
     def test_replayed_ack_never_raises_or_double_counts(self):
         simulator, protocol = self._protocol("full-ack")

@@ -46,6 +46,26 @@ class TestLocalization:
         assert protocol.identify().convicted == {4}, protocol.estimates()
 
 
+class TestSameRoundAsFullAck:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("rate", [100.0, 1000.0])
+    def test_paper_scenario_matches_full_ack(self, seed, rate):
+        """Sig-ack runs full-ack's agents with signatures in place of MACs;
+        signatures draw nothing from the simulator's streams, so every
+        score, round, estimate and event matches full-ack exactly."""
+        scenario = paper_scenario()
+
+        def outcome(name):
+            simulator = Simulator(seed=seed)
+            protocol = scenario.build_protocol(name, simulator)
+            protocol.run_traffic(count=300, rate=rate)
+            board = protocol.board
+            return (board.scores, board.rounds, protocol.estimates(),
+                    simulator.events_processed)
+
+        assert outcome("sig-ack") == outcome("full-ack")
+
+
 class TestSignatureSecurity:
     def test_forged_report_cannot_shift_blame_upstream(self):
         """A malicious F2 that replaces the report with junk is cut off at
