@@ -155,6 +155,8 @@ def pytest_sessionfinish(session, exitstatus):
                 event_seconds=extra.get("event_seconds"),
                 fastpath_seconds=extra.get("fastpath_seconds"),
                 speedup=extra.get("speedup"),
+                speedup_floor=extra.get("speedup_floor"),
+                fastpath_ceiling_seconds=extra.get("fastpath_ceiling_seconds"),
                 equivalent=extra.get("equivalent"),
                 profiler_off_ratio=extra.get("profiler_off_ratio"),
             )

@@ -6,6 +6,12 @@ backends, asserts the detection outcomes are byte-identical — including
 the evidence ledger each engine emits — and asserts the fast path clears
 its speedup floor. The conftest splits these records (marked with
 ``extra_info["backend"]``) into ``BENCH_fastpath.json``.
+
+Both engines are timed warm: a short warm-up request runs on each
+first, so neither side's timing includes one-time imports, and each
+side's time is the minimum over :data:`REPEATS` runs. sig-ack's event
+side runs once, since one run takes tens of seconds and its ratio is
+far above the floor.
 """
 
 import time
@@ -21,14 +27,29 @@ from repro.workloads.scenarios import paper_scenario
 #: (protocol, runs, horizon, speedup floor). full-ack and paai1 are the
 #: figure2/table2 quick-scale protocols and carry the 10x acceptance
 #: floor; sig-ack shares full-ack's onion-ack replay (its event side pays
-#: for signatures, so it clears the floor with margin); statfl rides
-#: along with margin for timer jitter (measured ~11x).
+#: for signatures, so it clears the floor with margin). statfl's floor is
+#: recorded but gated through :data:`FASTPATH_CEILINGS` instead.
 WORKLOADS = [
     ("full-ack", 2, 2_000, 10.0),
     ("sig-ack", 2, 2_000, 10.0),
     ("paai1", 1, 8_000, 10.0),
     ("statfl", 1, 8_000, 4.0),
 ]
+
+#: Absolute fastpath-seconds gates that replace the ratio floor. statfl's
+#: fastpath is almost all per-packet HMAC work (sketch coins and packet
+#: identifiers) that the event engine does too, so once the event
+#: engine's HMAC got cheap the ratio fell to about 3.5-5x and no longer
+#: measures the replay loop. The ceiling is about twice the slowest
+#: warmed min-of-5 measured on a 2-core host (0.12-0.20 s).
+FASTPATH_CEILINGS = {"statfl": 0.4}
+
+#: Timed runs per engine; each side reports its fastest.
+REPEATS = 5
+
+#: Event-engine repeats for protocols whose event run is too slow to
+#: repeat.
+EVENT_REPEATS = {"sig-ack": 1}
 
 
 def _request(protocol, runs, horizon):
@@ -51,22 +72,35 @@ def test_fastpath_speedup_and_equivalence(
     benchmark, protocol, runs, horizon, floor
 ):
     request = _request(protocol, runs, horizon)
+    warm_up = _request(protocol, 1, 200)
+    for backend in ("event", "fastpath"):
+        with using_ledger(EvidenceLedger()):
+            get_backend(backend).run(warm_up)
 
-    event_ledger = EvidenceLedger()
-    started = time.perf_counter()
-    with using_ledger(event_ledger):
-        event_result = get_backend("event").run(request)
-    event_seconds = time.perf_counter() - started
+    def timed(backend):
+        ledger = EvidenceLedger()
+        started = time.perf_counter()
+        with using_ledger(ledger):
+            result = get_backend(backend).run(request)
+        return time.perf_counter() - started, result, ledger
 
-    fast_ledger = EvidenceLedger()
+    event_runs = [
+        timed("event") for _ in range(EVENT_REPEATS.get(protocol, REPEATS))
+    ]
+    event_seconds, event_result, event_ledger = min(
+        event_runs, key=lambda run: run[0]
+    )
+    fast_durations = []
 
     def run_fastpath():
-        with using_ledger(fast_ledger):
-            return get_backend("fastpath").run(request)
+        seconds, result, ledger = timed("fastpath")
+        fast_durations.append(seconds)
+        return result, ledger
 
-    started = time.perf_counter()
-    fast_result = benchmark.pedantic(run_fastpath, rounds=1, iterations=1)
-    fast_seconds = time.perf_counter() - started
+    fast_result, fast_ledger = benchmark.pedantic(
+        run_fastpath, rounds=REPEATS, iterations=1
+    )
+    fast_seconds = min(fast_durations)
 
     # The equivalence gate: identical convictions, estimates, and ledger
     # JSONL at the same seed, and no silent event-engine fallback.
@@ -90,7 +124,16 @@ def test_fastpath_speedup_and_equivalence(
     benchmark.extra_info["event_seconds"] = round(event_seconds, 4)
     benchmark.extra_info["fastpath_seconds"] = round(fast_seconds, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["speedup_floor"] = floor
     benchmark.extra_info["equivalent"] = True
+    ceiling = FASTPATH_CEILINGS.get(protocol)
+    if ceiling is not None:
+        benchmark.extra_info["fastpath_ceiling_seconds"] = ceiling
+        assert fast_seconds <= ceiling, (
+            f"{protocol}: fastpath {fast_seconds:.3f}s above its "
+            f"{ceiling:.2f}s ceiling (speedup {speedup:.1f}x)"
+        )
+        return
     assert speedup >= floor, (
         f"{protocol}: fastpath speedup {speedup:.1f}x below {floor:.0f}x "
         f"floor (event {event_seconds:.2f}s, fastpath {fast_seconds:.2f}s)"

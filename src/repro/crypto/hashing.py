@@ -41,8 +41,10 @@ def packet_identifier(payload: bytes, timestamp: float) -> bytes:
     """
     encoded_time = repr(float(timestamp)).encode("ascii")
     # Length-prefix the payload so (payload, timestamp) parsing is unique.
+    # The concatenation is bytes (or a TypeError), so it needs no
+    # ``hash_bytes`` type check.
     header = len(payload).to_bytes(8, "big")
-    return hash_bytes(header + bytes(payload) + encoded_time)
+    return hashlib.sha256(header + bytes(payload) + encoded_time).digest()
 
 
 def truncate(digest: bytes, size: int) -> bytes:

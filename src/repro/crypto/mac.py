@@ -9,6 +9,14 @@ protocols are specified directly in terms of a MAC primitive and the
 reproduction builds its substrates from scratch. The implementation is
 validated against the RFC 4231 test vectors in the test suite.
 
+Both hash passes start with a block that depends only on the key, so
+:func:`hmac_key_states` builds the padded key blocks with
+``bytes.translate`` and caches the two keyed ``sha256`` states per key in
+a bounded LRU cache. Each MAC then costs two C-level ``copy()``/
+``update()`` rounds. The cache is keyed by an immutable ``bytes`` copy of
+the key, so mutating a ``bytearray`` key between calls never reuses a
+stale state.
+
 ``[m]_K`` in the paper denotes ``m`` together with a MAC over ``m`` under
 ``K``; the :func:`mac` / :func:`verify_mac` pair provides the truncated MAC
 used inside onion reports.
@@ -16,6 +24,7 @@ used inside onion reports.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from time import perf_counter
 
@@ -23,8 +32,12 @@ from repro.constants import MAC_SIZE
 from repro.obs.registry import TIME_BUCKETS, get_registry
 
 _BLOCK_SIZE = 64  # SHA-256 block size in bytes.
-_IPAD = bytes(0x36 for _ in range(_BLOCK_SIZE))
-_OPAD = bytes(0x5C for _ in range(_BLOCK_SIZE))
+#: Byte-wise ``xor 0x36`` / ``xor 0x5c`` as ``bytes.translate`` tables.
+_IPAD_TABLE = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD_TABLE = bytes(byte ^ 0x5C for byte in range(256))
+
+#: Distinct keys whose keyed states stay cached.
+KEY_CACHE_SIZE = 1024
 
 #: (registry, calls counter, seconds histogram) — rebound when the active
 #: registry changes so instruments always land in the current one.
@@ -41,8 +54,21 @@ def _obs_instruments(registry):
     return calls, seconds
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def hmac_key_states(key: bytes):
+    """Return the ``(inner, outer)`` ``sha256`` states keyed by ``key``.
+
+    ``inner`` has absorbed ``K' xor ipad`` and ``outer`` ``K' xor opad``.
+    Callers must ``copy()`` a state before updating it: the objects are
+    shared through the cache.
+    """
+    if len(key) > _BLOCK_SIZE:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK_SIZE, b"\x00")
+    return (
+        hashlib.sha256(key.translate(_IPAD_TABLE)),
+        hashlib.sha256(key.translate(_OPAD_TABLE)),
+    )
 
 
 def _hmac_sha256(key: bytes, message: bytes) -> bytes:
@@ -50,12 +76,12 @@ def _hmac_sha256(key: bytes, message: bytes) -> bytes:
         raise TypeError("key must be bytes")
     if not isinstance(message, (bytes, bytearray)):
         raise TypeError("message must be bytes")
-    key = bytes(key)
-    if len(key) > _BLOCK_SIZE:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_BLOCK_SIZE, b"\x00")
-    inner = hashlib.sha256(_xor_bytes(key, _IPAD) + bytes(message)).digest()
-    return hashlib.sha256(_xor_bytes(key, _OPAD) + inner).digest()
+    inner, outer = hmac_key_states(bytes(key))
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:

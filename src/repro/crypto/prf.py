@@ -17,12 +17,14 @@ expose integer, fraction and Bernoulli output modes.
 
 from __future__ import annotations
 
-import hashlib
+import struct
 
-from repro.crypto.mac import hmac_sha256
+from repro.crypto.mac import hmac_key_states, hmac_sha256
 from repro.obs.registry import get_registry
 
-_HMAC_BLOCK = 64  # SHA-256 block size in bytes.
+#: Big-endian uint64 from the first 8 bytes of a digest — the same value
+#: as ``int.from_bytes(digest[:8], "big")`` without the slice.
+_FIRST_U64 = struct.Struct(">Q").unpack_from
 
 
 class PRF:
@@ -114,14 +116,13 @@ class PRF:
 class HotPRF:
     """Hot-loop evaluator producing bit-identical :class:`PRF` outputs.
 
-    ``repro.crypto.mac`` builds HMAC-SHA256 from scratch per call (pure
-    Python key padding and XOR), which dominates profiles when a PRF is
-    evaluated per packet — e.g. statfl's per-node sketch coins or
-    PAAI-1's secure sampling in the fast-path replay. The RFC 2104
-    construction keys both hash passes with data that depends only on
-    the key (and here also the domain-separation prefix), so this class
-    precomputes the inner/outer digest states once and pays two C-level
-    ``copy()``/``update()`` rounds per evaluation. Equality with
+    Used where a PRF is evaluated per packet in a batch loop — statfl's
+    per-node sketch coins and PAAI-1's secure sampling in the fast-path
+    replay. It starts from the same cached keyed HMAC states as
+    :func:`repro.crypto.mac.hmac_sha256` (:func:`~repro.crypto.mac.hmac_key_states`),
+    with the domain-separation prefix absorbed once into its own copy of
+    the inner state, so each evaluation skips the type checks, the cache
+    lookup and the prefix concatenation. Equality with
     :meth:`PRF.fraction`/:meth:`PRF.bernoulli` is pinned by the test
     suite.
 
@@ -137,14 +138,9 @@ class HotPRF:
     _SCALE = float(1 << 64)
 
     def __init__(self, key: bytes, prefix: bytes = b"") -> None:
-        key = bytes(key)
-        if len(key) > _HMAC_BLOCK:
-            key = hashlib.sha256(key).digest()
-        key = key.ljust(_HMAC_BLOCK, b"\x00")
-        self._inner = hashlib.sha256(
-            bytes(byte ^ 0x36 for byte in key) + prefix
-        )
-        self._outer = hashlib.sha256(bytes(byte ^ 0x5C for byte in key))
+        inner, self._outer = hmac_key_states(bytes(key))
+        self._inner = inner.copy()
+        self._inner.update(prefix)
 
     def digest(self, data: bytes) -> bytes:
         """Raw 32-byte output, equal to ``PRF.digest`` for the same
@@ -158,8 +154,7 @@ class HotPRF:
 
     def fraction(self, data: bytes) -> float:
         """Uniform-in-[0, 1) float, equal to :meth:`PRF.fraction`."""
-        value = int.from_bytes(self.digest(data)[:8], "big")
-        return value / self._SCALE
+        return _FIRST_U64(self.digest(data))[0] / self._SCALE
 
     def bernoulli(self, data: bytes, probability: float) -> bool:
         """Deterministic coin, equal to :meth:`PRF.bernoulli`.
@@ -173,5 +168,4 @@ class HotPRF:
         inner.update(data)
         outer = self._outer.copy()
         outer.update(inner.digest())
-        value = int.from_bytes(outer.digest()[:8], "big")
-        return value / self._SCALE < probability
+        return _FIRST_U64(outer.digest())[0] / self._SCALE < probability

@@ -25,6 +25,7 @@ many-time scheme.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -79,21 +80,27 @@ class WotsParams:
 
 def _digits(params: WotsParams, digest: bytes) -> List[int]:
     """Message digits plus checksum digits, base ``2^w``."""
+    base = params.base
     value = int.from_bytes(digest, "big")
     digits = []
     for _ in range(params.message_digits):
-        digits.append(value % params.base)
-        value //= params.base
-    checksum = sum(params.base - 1 - digit for digit in digits)
+        digits.append(value % base)
+        value //= base
+    checksum = sum(base - 1 - digit for digit in digits)
     for _ in range(params.checksum_digits):
-        digits.append(checksum % params.base)
-        checksum //= params.base
+        digits.append(checksum % base)
+        checksum //= base
     return digits
 
 
 def _chain(value: bytes, steps: int) -> bytes:
-    for _ in range(steps):
-        value = hash_bytes(value)
+    """Hash ``value`` forward ``steps`` times; only the first step, on
+    caller input, needs :func:`hash_bytes`'s type check."""
+    if steps <= 0:
+        return value
+    value = hash_bytes(value)
+    for _ in range(steps - 1):
+        value = hashlib.sha256(value).digest()
     return value
 
 
@@ -146,12 +153,13 @@ class WotsPublicKey:
             return False
         if len(signature) != self.params.total_digits:
             return False
+        top_digit = self.params.base - 1
         for element, digit, top in zip(
             signature, _digits(self.params, digest), self.tops
         ):
             if not isinstance(element, (bytes, bytearray)) or len(element) != DIGEST_BYTES:
                 return False
-            if _chain(bytes(element), self.params.base - 1 - digit) != top:
+            if _chain(bytes(element), top_digit - digit) != top:
                 return False
         return True
 

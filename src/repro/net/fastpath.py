@@ -94,10 +94,11 @@ class DrawStream:
 
     Produces the identical sequence of ``random()`` doubles, refilled
     :data:`BLOCK` at a time through numpy when the seed admits the
-    two-word ``init_by_array`` equivalence (see module docstring).
+    two-word ``init_by_array`` equivalence (see module docstring). A
+    block is stored reversed, so each draw is one ``list.pop()``.
     """
 
-    __slots__ = ("_state", "_buffer", "_position", "_scalar")
+    __slots__ = ("_state", "_buffer", "_scalar")
 
     def __init__(self, seed: int) -> None:
         if seed >> 32:
@@ -112,18 +113,16 @@ class DrawStream:
             self._state = None
             self._scalar = random.Random(seed)
         self._buffer: List[float] = []
-        self._position = 0
 
     def random(self) -> float:
         """Next double in [0, 1) — bit-identical to the event engine's."""
+        buffer = self._buffer
+        if buffer:
+            return buffer.pop()
         if self._scalar is not None:
             return self._scalar.random()
-        if self._position >= len(self._buffer):
-            self._buffer = self._state.random_sample(BLOCK).tolist()
-            self._position = 0
-        value = self._buffer[self._position]
-        self._position += 1
-        return value
+        self._buffer = buffer = self._state.random_sample(BLOCK)[::-1].tolist()
+        return buffer.pop()
 
 
 def stream_seed(root_seed: int, label: str) -> int:
@@ -260,12 +259,15 @@ class _RoundReplay:
         ]
         # Adversary streams draw one coin per matching crossing, but only
         # when the rate is strictly positive (PaperTacticAdversary
-        # short-circuits the draw at rate 0).
-        self.adversaries: Dict[int, Tuple[DrawStream, float]] = {
-            position: (DrawStream(stream_seed(seed, f"adversary-{position}")), rate)
-            for position, rate in scenario.malicious_nodes.items()
-            if rate > 0.0
-        }
+        # short-circuits the draw at rate 0). Indexed by node position;
+        # None for honest nodes.
+        rates = scenario.malicious_nodes
+        self.adversaries: List[Optional[Tuple[DrawStream, float]]] = [
+            (DrawStream(stream_seed(seed, f"adversary-{position}")), rates[position])
+            if rates.get(position, 0.0) > 0.0
+            else None
+            for position in range(self.d + 1)
+        ]
         keys = KeyManager(self.d, seed=DEFAULT_KEY_SEED)
         # Per-link transmission/loss tallies, one (tx, loss) vector pair
         # per traffic class the replay generates. Plain list increments
@@ -315,36 +317,16 @@ class _RoundReplay:
                 "net.link.natural_losses", kind, direction, loss
             )
 
-    # -- draw primitives ---------------------------------------------------
-
-    def _cross(self, link: int, tx: List[int], loss: List[int]) -> bool:
-        """One crossing attempt; True when the packet survives.
-
-        Mirrors ``Link.transmit``: the transmission counts before the
-        loss coin, and the latency draw happens only for survivors (its
-        value cannot change outcomes under serialized rounds, but it
-        must be consumed to keep the stream aligned).
-        """
-        tx[link] += 1
-        stream = self.links[link]
-        if stream.random() < self.rho:
-            loss[link] += 1
-            return False
-        stream.random()  # latency draw (uniform [0, max_link_latency))
-        return True
-
-    def _coin(self, position: int, kind: str, direction: str, cause: str) -> bool:
-        """Adversary drop coin at ``position``; True when dropped."""
-        entry = self.adversaries.get(position)
-        if entry is None:
-            return False
-        stream, rate = entry
-        if stream.random() < rate:
-            self.tally.node_drop(position, kind, direction, cause)
-            return True
-        return False
-
     # -- packet walks ------------------------------------------------------
+    #
+    # Every walk inlines the same two draw primitives, on locals:
+    #
+    # * a link crossing mirrors ``Link.transmit``: the transmission counts
+    #   before the loss coin, and the latency draw happens only for
+    #   survivors (its value cannot change outcomes under serialized
+    #   rounds, but it must be consumed to keep the stream aligned);
+    # * an adversary coin at a malicious position drops the packet when
+    #   it comes up below the node's rate, and is tallied as a node drop.
 
     def _forward_walk(self, kind: str) -> int:
         """Walk a forward packet relayed by every reached node.
@@ -354,14 +336,22 @@ class _RoundReplay:
         each malicious relay, then the link's loss/latency draws.
         """
         tx, loss = self.series[kind, _FORWARD]
+        links, adversaries, rho, d = self.links, self.adversaries, self.rho, self.d
         at = 0
         while True:
-            if at >= 1 and self._coin(at, kind, _FORWARD, "egress"):
+            if at:
+                adversary = adversaries[at]
+                if adversary is not None and adversary[0].random() < adversary[1]:
+                    self.tally.node_drop(at, kind, _FORWARD, "egress")
+                    return at
+            tx[at] += 1
+            stream = links[at]
+            if stream.random() < rho:
+                loss[at] += 1
                 return at
-            if not self._cross(at, tx, loss):
-                return at
+            stream.random()
             at += 1
-            if at == self.d:
+            if at == d:
                 return at
 
     def _ack_walk(self) -> Tuple[bool, int]:
@@ -375,16 +365,22 @@ class _RoundReplay:
         skips the pop).
         """
         tx, loss = self.series[_ACK, _REVERSE]
+        links, adversaries, rho = self.links, self.adversaries, self.rho
         link = self.d - 1
-        while link >= 0:
-            if not self._cross(link, tx, loss):
+        while True:
+            tx[link] += 1
+            stream = links[link]
+            if stream.random() < rho:
+                loss[link] += 1
                 return False, link
+            stream.random()
             if link == 0:
                 return True, -1
-            if self._coin(link, _ACK, _REVERSE, "ingress"):
+            adversary = adversaries[link]
+            if adversary is not None and adversary[0].random() < adversary[1]:
+                self.tally.node_drop(link, _ACK, _REVERSE, "ingress")
                 return False, link
             link -= 1
-        return True, -1  # unreachable; loop exits via link == 0
 
     def _probe_walk(self, frontier: int, delivered: bool) -> Optional[int]:
         """Walk the probe; return the report-cascade origin (or None).
@@ -397,17 +393,25 @@ class _RoundReplay:
         destination finds an entry only when the data was delivered.
         """
         tx, loss = self.series[_PROBE, _FORWARD]
+        links, adversaries, rho, d = self.links, self.adversaries, self.rho, self.d
         deepest_probed = 0
         at = 0
         while True:
-            if at >= 1 and self._coin(at, _PROBE, _FORWARD, "egress"):
+            if at:
+                adversary = adversaries[at]
+                if adversary is not None and adversary[0].random() < adversary[1]:
+                    self.tally.node_drop(at, _PROBE, _FORWARD, "egress")
+                    break
+            tx[at] += 1
+            stream = links[at]
+            if stream.random() < rho:
+                loss[at] += 1
                 break
-            if not self._cross(at, tx, loss):
-                break
+            stream.random()
             at += 1
-            if at == self.d:
+            if at == d:
                 if delivered:
-                    return self.d
+                    return d
                 break  # no entry at the destination: probe discarded
             if at > frontier:
                 break  # no entry at this forwarder: probe discarded
@@ -425,15 +429,18 @@ class _RoundReplay:
         chain is in flight and each link is crossed at most once.
         """
         tx, loss = self.series[_ACK, _REVERSE]
+        links, rho = self.links, self.rho
         while origin:
             link = origin - 1
-            survived = True
             while link >= 0:
-                if not self._cross(link, tx, loss):
-                    survived = False
+                tx[link] += 1
+                stream = links[link]
+                if stream.random() < rho:
+                    loss[link] += 1
                     break
+                stream.random()
                 link -= 1
-            if survived:
+            else:
                 return origin
             origin = link if link >= 1 else None
         return None
@@ -494,11 +501,11 @@ class _RoundReplay:
         self.board_rounds += 1
         identifier = packet_identifier(b"data-%016d" % sequence, timestamp)
         reach = self._forward_walk(_DATA)
+        sketch_prfs, counts = self.sketch_prfs, self.sketch_counts
+        sampling = self.fl_sampling
         for position in range(1, reach + 1):
-            if self.sketch_prfs[position].bernoulli(
-                identifier, self.fl_sampling
-            ):
-                self.sketch_counts[position] += 1
+            if sketch_prfs[position].bernoulli(identifier, sampling):
+                counts[position] += 1
         sent = sequence + 1
         if sent % self.fl_interval == 0:
             self._statfl_request(snapshot=sent)

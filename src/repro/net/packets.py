@@ -28,12 +28,19 @@ class PacketKind(enum.Enum):
     PROBE = "probe"
     ACK = "ack"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is consistent with equality and keeps the
+    # ``(kind, direction)`` stats keys off ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 class Direction(enum.Enum):
     """Travel direction on the (symmetric) path."""
 
     FORWARD = "forward"  # toward the destination
     REVERSE = "reverse"  # toward the source
+
+    __hash__ = object.__hash__  # identity hash, as for PacketKind
 
 
 @dataclass

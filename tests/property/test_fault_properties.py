@@ -86,7 +86,7 @@ class TestKnownStatflFalseAccusation:
         reason="statfl estimates 1.0 on a link whose downstream nodes never "
                "reported (natural loss), and the confident verdict convicts",
     )
-    @pytest.mark.parametrize("root", [375, 6915])
+    @pytest.mark.parametrize("root", [375, 2771, 6915])
     def test_crash_restart_statfl_convicts_nobody(self, root):
         cell = run_chaos_cell(
             "statfl",

@@ -54,6 +54,58 @@ class TestEventQueue:
         h.cancel()
         assert queue.peek_time() == 2.0
 
+    def test_same_time_actions_never_compared(self):
+        # object() instances define no ordering: a heap that fell back to
+        # comparing actions would raise TypeError here.
+        queue = EventQueue()
+        actions = [object() for _ in range(50)]
+        for action in actions:
+            queue.schedule(1.0, action)
+        popped = []
+        while (item := queue.pop()) is not None:
+            popped.append(item[1])
+        assert all(got is want for got, want in zip(popped, actions))
+        assert len(popped) == len(actions)
+
+    def test_cancel_after_fire_is_noop(self):
+        queue = EventQueue()
+        fired = []
+        handle = queue.schedule(1.0, lambda: fired.append("x"))
+        queue.schedule(2.0, lambda: fired.append("y"))
+        time, action = queue.pop()
+        action()
+        handle.cancel()
+        assert len(queue) == 1
+        assert queue.peek_time() == 2.0
+        queue.pop()[1]()
+        assert fired == ["x", "y"]
+
+    def test_handle_time_and_cancelled(self):
+        queue = EventQueue()
+        handle = queue.schedule(2.5, lambda: None)
+        assert handle.time == 2.5
+        assert not handle.cancelled
+        handle.cancel()
+        assert handle.cancelled
+        assert handle.time == 2.5
+        handle.cancel()  # idempotent
+        assert handle.cancelled
+
+    def test_len_and_peek_skip_cancelled_heap_top(self):
+        queue = EventQueue()
+        first = queue.schedule(1.0, lambda: None)
+        second = queue.schedule(1.0, lambda: None)
+        queue.schedule(3.0, lambda: None)
+        first.cancel()
+        second.cancel()
+        assert len(queue) == 1
+        assert queue.size() == 3
+        assert queue.peek_time() == 3.0
+        assert queue.size() == 1  # the cancelled top entries were dropped
+        assert queue.pop()[0] == 3.0
+        assert queue.pop() is None
+        assert len(queue) == 0
+
     def test_negative_time_rejected(self):
         with pytest.raises(SchedulingError):
             EventQueue().schedule(-1.0, lambda: None)

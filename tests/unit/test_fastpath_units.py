@@ -74,6 +74,16 @@ class TestHotPRF:
                     data, probability
                 )
 
+    @pytest.mark.parametrize("label", ["", "paai1-secure-sampling"])
+    @pytest.mark.parametrize("key", [b"", b"k" * 16, bytes(range(64))])
+    def test_identical_to_prf_for_labels_and_keys(self, label, key):
+        prf = PRF(key, label=label)
+        hot = prf.hot()
+        for index in range(50):
+            data = b"packet-%d" % index
+            assert hot.digest(data) == prf.digest(data)
+            assert hot.bernoulli(data, 0.3) == prf.bernoulli(data, 0.3)
+
     def test_long_key_hashed_like_hmac(self):
         key = bytes(range(200))  # above the 64-byte HMAC block
         prf = PRF(key, label="x")

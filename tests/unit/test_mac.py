@@ -1,10 +1,17 @@
 """Tests for the from-scratch HMAC-SHA256 and truncated MACs."""
 
 import hashlib
+import hmac as stdlib_hmac
 
 import pytest
 
-from repro.crypto.mac import hmac_sha256, mac, verify_mac
+from repro.crypto.mac import (
+    KEY_CACHE_SIZE,
+    hmac_key_states,
+    hmac_sha256,
+    mac,
+    verify_mac,
+)
 
 
 class TestHmacRfc4231Vectors:
@@ -69,12 +76,46 @@ class TestHmacAgainstStdlib:
     @pytest.mark.parametrize("key_len", [0, 1, 31, 32, 63, 64, 65, 200])
     @pytest.mark.parametrize("msg_len", [0, 1, 64, 1000])
     def test_matches_stdlib(self, key_len, msg_len):
-        import hmac as stdlib_hmac
-
         key = bytes(range(256))[:key_len] if key_len else b""
         msg = (b"\xa5" * msg_len)
         expected = stdlib_hmac.new(key, msg, hashlib.sha256).digest()
         assert hmac_sha256(key, msg) == expected
+
+
+class TestKeyStateCache:
+    """The keyed inner/outer states are cached per key; the cache must
+    never change an answer and must stay bounded."""
+
+    def test_mutated_bytearray_key_is_not_stale(self):
+        key = bytearray(b"k" * 32)
+        before = hmac_sha256(key, b"message")
+        key[0] ^= 0xFF
+        after = hmac_sha256(key, b"message")
+        assert after != before
+        assert after == stdlib_hmac.new(
+            bytes(key), b"message", hashlib.sha256
+        ).digest()
+
+    def test_long_key_matches_stdlib(self):
+        key = bytes(range(100))  # above the 64-byte block: hashed first
+        for message in (b"", b"m", b"x" * 200):
+            expected = stdlib_hmac.new(key, message, hashlib.sha256).digest()
+            assert hmac_sha256(key, message) == expected
+            assert hmac_sha256(bytearray(key), message) == expected
+
+    def test_repeated_key_reuses_unmodified_state(self):
+        key = b"repeat-key"
+        first = hmac_sha256(key, b"one")
+        hmac_sha256(key, b"two")
+        assert hmac_sha256(key, b"one") == first
+
+    def test_cache_stays_at_its_bound(self):
+        for index in range(10_000):
+            hmac_sha256(b"distinct-%d" % index, b"m")
+        assert hmac_key_states.cache_info().currsize == KEY_CACHE_SIZE
+        assert hmac_sha256(b"distinct-0", b"m") == stdlib_hmac.new(
+            b"distinct-0", b"m", hashlib.sha256
+        ).digest()
 
 
 class TestTruncatedMac:

@@ -1,5 +1,7 @@
 """Tests for the packet taxonomy."""
 
+import pickle
+
 from repro.constants import DEFAULT_PACKET_SIZE, IDENTIFIER_SIZE
 from repro.crypto.hashing import packet_identifier
 from repro.net.packets import (
@@ -10,6 +12,7 @@ from repro.net.packets import (
     ProbePacket,
     clone_with_report,
 )
+from repro.net.stats import PathStats
 
 
 class TestDataPacket:
@@ -67,3 +70,28 @@ class TestDirection:
     def test_members(self):
         assert Direction.FORWARD is not Direction.REVERSE
         assert {d.value for d in Direction} == {"forward", "reverse"}
+
+
+class TestStatsKeys:
+    """``PacketKind``/``Direction`` hash by identity; the members are
+    singletons, so keys survive pickling (the path parallel workers'
+    results take back to the parent process)."""
+
+    def test_members_survive_pickling_as_singletons(self):
+        for member in (*PacketKind, *Direction):
+            restored = pickle.loads(pickle.dumps(member))
+            assert restored is member
+            assert hash(restored) == hash(member)
+
+    def test_unpickled_path_stats_keys_still_resolve(self):
+        stats = PathStats(length=3)
+        packet = DataPacket.create(payload=b"x", timestamp=0.0)
+        stats.links[0].record_transmission(packet, Direction.FORWARD)
+        stats.links[0].record_transmission(packet, Direction.FORWARD)
+        stats.links[0].record_natural_loss(packet, Direction.FORWARD)
+        restored = pickle.loads(pickle.dumps(stats))
+        link = restored.links[0]
+        assert link.transmissions[(PacketKind.DATA, Direction.FORWARD)] == 2
+        assert link.natural_losses[(PacketKind.DATA, Direction.FORWARD)] == 1
+        assert link.transmissions[(PacketKind.ACK, Direction.REVERSE)] == 0
+        assert link.bytes_sent[PacketKind.DATA] == 2 * packet.size

@@ -14,6 +14,7 @@ from repro.crypto.wots import (
     WotsParams,
     WotsPrivateKey,
     WotsPublicKey,
+    _chain,
 )
 from repro.exceptions import ConfigurationError
 
@@ -92,6 +93,29 @@ class TestWotsSignatures:
         advanced = [hash_bytes(element) for element in signature]
         for other in (b"other-1", b"other-2", b"other-3"):
             assert not public.verify(hash_bytes(other), advanced)
+
+    def test_non_bytes_signature_element_rejected(self):
+        private = WotsPrivateKey(b"seed-9")
+        public = private.public_key()
+        digest = hash_bytes(b"m")
+        signature = private.sign(digest)
+        as_text = [element.hex()[:DIGEST_BYTES] for element in signature]
+        assert not public.verify(digest, as_text)
+
+    def test_chain_type_checks_its_input(self):
+        with pytest.raises(TypeError):
+            _chain("x" * DIGEST_BYTES, 3)
+
+    def test_chain_of_zero_steps_is_identity(self):
+        value = hash_bytes(b"start")
+        assert _chain(value, 0) == value
+
+    def test_chain_matches_repeated_hashing(self):
+        value = bytearray(hash_bytes(b"start"))
+        expected = bytes(value)
+        for _ in range(15):
+            expected = hash_bytes(expected)
+        assert _chain(value, 15) == expected
 
     def test_encode_decode_roundtrip(self):
         public = WotsPrivateKey(b"seed-8").public_key()
