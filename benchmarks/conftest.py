@@ -6,10 +6,11 @@ run once per benchmark (``pedantic`` with a single round) so the suite
 stays in laptop budgets.
 
 Every benchmark session also writes machine-readable telemetry to
-``BENCH_observability.json`` at the repo root (overwritten per run): one
-record per benchmark with its name, measured seconds, engine events
-processed (benchmarks driven through ``once`` run under a fresh metrics
-registry), and the scale/seed knobs it ran at.
+``BENCH_observability.json`` at the repo root (overwritten per run):
+``{cpu_count, records}`` with one record per benchmark holding its name,
+measured seconds, engine events processed (benchmarks driven through
+``once`` run under a fresh metrics registry), and the scale/seed knobs
+it ran at.
 """
 
 import json
@@ -88,7 +89,10 @@ def _write_parallel_telemetry(parallel_records):
     """``BENCH_parallel.json``: per-configuration wall clock plus the
     speedup of every parallel configuration over its serial (jobs=1)
     baseline at the same scale. ``cpu_count`` is recorded because the
-    speedup is only meaningful relative to the cores available."""
+    speedup is only meaningful relative to the cores available: with
+    more jobs than cores it measures oversubscription, not the engine,
+    so it is ``null`` there."""
+    cpu_count = os.cpu_count()
     parallel_records.sort(
         key=lambda record: (record["scale"] or "", record["jobs"] or 0)
     )
@@ -99,12 +103,14 @@ def _write_parallel_telemetry(parallel_records):
     }
     for record in parallel_records:
         baseline = baselines.get(record["scale"])
+        oversubscribed = cpu_count is not None and record["jobs"] > cpu_count
         record["speedup_vs_serial"] = (
             round(baseline / record["seconds"], 3)
-            if baseline and record["seconds"] else None
+            if baseline and record["seconds"] and not oversubscribed
+            else None
         )
     payload = {
-        "cpu_count": os.cpu_count(),
+        "cpu_count": cpu_count,
         "records": parallel_records,
     }
     with open(BENCH_PARALLEL_PATH, "w") as handle:
@@ -123,7 +129,7 @@ def pytest_sessionfinish(session, exitstatus):
     ``BENCH_topology.json``; benchmarks that declare an ``audit_mode``
     (the auditor suite) split out into
     ``BENCH_audit.json``; everything else lands in
-    ``BENCH_observability.json`` as before.
+    ``BENCH_observability.json``. Every file is ``{cpu_count, records}``.
     """
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None or not getattr(bench_session, "benchmarks", None):
@@ -200,8 +206,9 @@ def pytest_sessionfinish(session, exitstatus):
             records.append(record)
     if records:
         records.sort(key=lambda record: record["name"])
+        payload = {"cpu_count": os.cpu_count(), "records": records}
         with open(BENCH_TELEMETRY_PATH, "w") as handle:
-            json.dump(records, handle, indent=2, sort_keys=True)
+            json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if parallel_records:
         _write_parallel_telemetry(parallel_records)

@@ -10,8 +10,8 @@ its speedup floor. The conftest splits these records (marked with
 Both engines are timed warm: a short warm-up request runs on each
 first, so neither side's timing includes one-time imports, and each
 side's time is the minimum over :data:`REPEATS` runs. sig-ack's event
-side runs once, since one run takes tens of seconds and its ratio is
-far above the floor.
+side runs once, since one run takes over ten seconds (every signature
+is verified in full) and its ratio is far above the floor.
 """
 
 import time

@@ -40,8 +40,10 @@ def test_bench_report_parallel(benchmark, scale, jobs):
     benchmark.extra_info["scale"] = scale
     benchmark.extra_info["seed"] = SEED
     benchmark.extra_info["experiments"] = len(report.records)
+    # A request above the core count runs serially (and says so).
+    assert report.requested_jobs == jobs
+    assert report.jobs == (jobs if jobs <= (os.cpu_count() or 1) else 1)
     # The report itself must be jobs-independent (names in spec order).
-    assert report.jobs == jobs
     assert [r.name for r in report.records] == [
         spec.name for spec in build_specs(scale, SEED)
     ]

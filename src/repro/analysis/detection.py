@@ -103,6 +103,6 @@ def detection_time_minutes(
 
     ``detection time = detection rate / sending rate`` (§3.1).
     """
-    if sending_rate <= 0:
-        raise ConfigurationError("sending rate must be positive")
+    if not 0 < sending_rate < math.inf:
+        raise ConfigurationError("sending rate must be positive and finite")
     return detection_packets(name, params) / sending_rate / 60.0

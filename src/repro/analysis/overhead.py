@@ -9,6 +9,7 @@ the source rate ``nu`` and the worst-case source round trip ``r_0``.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 from repro.core.params import ProtocolParams
@@ -67,8 +68,8 @@ def storage_bound_packets(
     (12 and 3.2 packets at nu=100/s) follow with the paper's 0-5 ms
     per-link latency.
     """
-    if sending_rate <= 0:
-        raise ConfigurationError("sending rate must be positive")
+    if not 0 < sending_rate < math.inf:
+        raise ConfigurationError("sending rate must be positive and finite")
     if case not in ("worst", "ideal"):
         raise ConfigurationError(f"case must be 'worst' or 'ideal', got {case!r}")
     r0 = params.r0
@@ -99,8 +100,8 @@ def practicality_summary(params: ProtocolParams, sending_rate: float) -> Dict[st
     """§9's practicality numbers for each protocol at one sending rate."""
     from repro.analysis.detection import detection_packets
 
-    if sending_rate <= 0:
-        raise ConfigurationError("sending rate must be positive")
+    if not 0 < sending_rate < math.inf:
+        raise ConfigurationError("sending rate must be positive and finite")
 
     summary: Dict[str, Dict] = {}
     for name in ("full-ack", "paai1", "paai2", "statfl", "combo1", "combo2"):

@@ -521,6 +521,7 @@ def _cmd_bench(args) -> None:
     from repro.obs.trend import (
         DEFAULT_BENCH_FILES,
         build_baseline,
+        check_threshold,
         compare_to_baseline,
         load_baseline,
     )
@@ -538,6 +539,7 @@ def _cmd_bench(args) -> None:
             f"({len(payload['benchmarks'])} benchmarks)"
         )
         return
+    check_threshold(args.threshold)
     if not os.path.exists(args.baseline):
         print(
             f"bench trend: no baseline at {args.baseline} "

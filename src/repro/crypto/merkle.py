@@ -9,7 +9,13 @@ many-time signature scheme (an XMSS-style construction, simplified):
 * signature ``i`` consists of the WOTS signature, the one-time public
   key, and the authentication path proving that key is leaf ``i``;
 * a verifier checks the WOTS signature, then hashes the leaf up the
-  authentication path and compares against the root.
+  authentication path and accepts if the result is a registered root.
+
+A signer stores each one-time key as two ``bytes`` objects (joined chain
+starts, encoded public key) and rebuilds its private key only to sign. A
+verifier with several roots (one per regenerated pool) hashes a signature
+once and tests the resulting root for membership, so its cost does not
+grow with the number of roots.
 
 The sizes this produces (a few KiB per signature) against the 8-byte MACs
 of the symmetric protocols are the quantitative form of footnote 1's
@@ -20,7 +26,7 @@ bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Collection, List, Sequence, Union
 
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.prf import PRF
@@ -81,8 +87,15 @@ class MerkleTree:
 
     @staticmethod
     def verify_path(
-        leaf: bytes, index: int, path: Sequence[bytes], root: bytes
+        leaf: bytes,
+        index: int,
+        path: Sequence[bytes],
+        roots: Union[bytes, Collection[bytes]],
     ) -> bool:
+        """Whether ``path`` hashes leaf ``index`` up to ``roots`` (one
+        root, or any member of a collection of roots)."""
+        if isinstance(roots, (bytes, bytearray)):
+            roots = (roots,)
         node = _leaf_hash(leaf)
         for sibling in path:
             if not isinstance(sibling, (bytes, bytearray)) or len(sibling) != DIGEST_BYTES:
@@ -92,7 +105,7 @@ class MerkleTree:
             else:
                 node = _node_hash(bytes(sibling), node)
             index //= 2
-        return index == 0 and node == root
+        return index == 0 and node in roots
 
 
 @dataclass
@@ -138,12 +151,15 @@ class MerkleSigner:
         self.height = height
         count = 1 << height
         prf = PRF(seed, label="merkle-keygen")
-        self._privates = [
-            WotsPrivateKey(prf.digest(index.to_bytes(4, "big")), params)
-            for index in range(count)
-        ]
-        self._publics = [private.public_key() for private in self._privates]
-        self._tree = MerkleTree([public.encode() for public in self._publics])
+        #: Per one-time key: its joined chain starts and its encoded
+        #: public key (two ``bytes`` objects instead of 134 small ones).
+        self._starts: List[bytes] = []
+        self._publics: List[bytes] = []
+        for index in range(count):
+            private = WotsPrivateKey(prf.digest(index.to_bytes(4, "big")), params)
+            self._starts.append(private.encode_starts())
+            self._publics.append(private.public_key().encode())
+        self._tree = MerkleTree(self._publics)
         self._next = 0
 
     @property
@@ -168,10 +184,11 @@ class MerkleSigner:
         index = self._next
         self._next += 1
         digest = hash_bytes(message)
+        private = WotsPrivateKey.from_starts(self._starts[index], self.params)
         return MerkleSignature(
             index=index,
-            wots_signature=self._privates[index].sign(digest),
-            wots_public=self._publics[index].encode(),
+            wots_signature=private.sign(digest),
+            wots_public=self._publics[index],
             auth_path=self._tree.auth_path(index),
         )
 
@@ -229,15 +246,24 @@ def decode_signature(
 
 
 class MerkleVerifier:
-    """Verifies signatures against a registered root."""
+    """Verifies signatures against one registered root or a collection of
+    them; an empty collection rejects every signature."""
 
-    def __init__(self, root: bytes, params: WotsParams = WotsParams()) -> None:
-        if len(root) != DIGEST_BYTES:
+    def __init__(
+        self,
+        roots: Union[bytes, Collection[bytes]],
+        params: WotsParams = WotsParams(),
+    ) -> None:
+        if isinstance(roots, (bytes, bytearray)):
+            roots = (roots,)
+        self.roots = frozenset(bytes(root) for root in roots)
+        if any(len(root) != DIGEST_BYTES for root in self.roots):
             raise ConfigurationError("root must be a 32-byte digest")
-        self.root = root
         self.params = params
 
     def verify(self, message: bytes, signature: MerkleSignature) -> bool:
+        if not self.roots:
+            return False
         try:
             public = WotsPublicKey.decode(signature.wots_public, self.params)
         except ConfigurationError:
@@ -245,5 +271,5 @@ class MerkleVerifier:
         if not public.verify(hash_bytes(message), signature.wots_signature):
             return False
         return MerkleTree.verify_path(
-            signature.wots_public, signature.index, signature.auth_path, self.root
+            signature.wots_public, signature.index, signature.auth_path, self.roots
         )

@@ -104,6 +104,19 @@ def _chain(value: bytes, steps: int) -> bytes:
     return value
 
 
+def _split(blob: bytes, params: WotsParams, what: str) -> List[bytes]:
+    """Cut a joined ``total_digits`` x 32-byte blob back into its elements."""
+    expected = params.total_digits * DIGEST_BYTES
+    if len(blob) != expected:
+        raise ConfigurationError(
+            f"{what} blob must be {expected} bytes, got {len(blob)}"
+        )
+    return [
+        blob[index : index + DIGEST_BYTES]
+        for index in range(0, expected, DIGEST_BYTES)
+    ]
+
+
 class WotsPrivateKey:
     """One-time private key; refuses to sign twice."""
 
@@ -115,6 +128,22 @@ class WotsPrivateKey:
             for index in range(params.total_digits)
         ]
         self._used = False
+
+    @classmethod
+    def from_starts(
+        cls, blob: bytes, params: WotsParams = WotsParams()
+    ) -> "WotsPrivateKey":
+        """Rebuild an unused key from :meth:`encode_starts` output, so a
+        key pool can hold each key as one ``bytes`` object."""
+        key = cls.__new__(cls)
+        key.params = params
+        key._starts = _split(blob, params, "chain-start")
+        key._used = False
+        return key
+
+    def encode_starts(self) -> bytes:
+        """The chain starts, joined (the inverse of :meth:`from_starts`)."""
+        return b"".join(self._starts)
 
     def public_key(self) -> "WotsPublicKey":
         tops = [
@@ -169,13 +198,4 @@ class WotsPublicKey:
 
     @classmethod
     def decode(cls, blob: bytes, params: WotsParams = WotsParams()) -> "WotsPublicKey":
-        expected = params.total_digits * DIGEST_BYTES
-        if len(blob) != expected:
-            raise ConfigurationError(
-                f"public key blob must be {expected} bytes, got {len(blob)}"
-            )
-        tops = [
-            blob[index : index + DIGEST_BYTES]
-            for index in range(0, expected, DIGEST_BYTES)
-        ]
-        return cls(tops, params)
+        return cls(_split(blob, params, "public key"), params)

@@ -13,6 +13,11 @@ runs are simulated by binomial thinning of per-node arrival counts plus
 binomial counter sampling — again exact with respect to the wire
 semantics, up to report-collection staleness of at most one interval.
 
+Each :meth:`DetectionExperiment.run` builds the inputs that do not depend
+on the draws (a :class:`ModelPlan`: outcome model and thresholds) once and
+hands them to every shard in its payload, so neither shards nor pool
+workers rebuild the outcome model.
+
 Run batches **shard**: the runs split into contiguous chunks of at most
 :data:`DEFAULT_SHARD_RUNS`, each chunk seeded independently from the root
 seed via :func:`repro.parallel.shard_seed`, and the chunk results are
@@ -60,6 +65,42 @@ def resolve_shards(runs: int, shards: Optional[int] = None) -> int:
     if shards <= 0:
         raise ConfigurationError(f"shards must be positive, got {shards}")
     return min(shards, runs)
+
+
+@dataclass(frozen=True)
+class ModelPlan:
+    """The draw-independent inputs of a model-backend run: per-link
+    conviction thresholds, plus the outcome model's probabilities,
+    ``(d+1, d)`` 0/1 score matrix (``int64``, so ``counts @ score_matrix``
+    is exact), kind and rounds per packet — or, for statfl, the forward
+    link rates."""
+
+    thresholds: np.ndarray
+    probabilities: Optional[np.ndarray] = None
+    score_matrix: Optional[np.ndarray] = None
+    kind: Optional[str] = None
+    rounds_per_packet: float = 1.0
+    forward: Optional[np.ndarray] = None
+
+
+def model_plan(protocol: str, scenario: Scenario) -> ModelPlan:
+    """Build the :class:`ModelPlan` for ``protocol`` under ``scenario``."""
+    params = scenario.params
+    thresholds = np.asarray(models.calibrated_thresholds(protocol, params))
+    if protocol == "statfl":
+        return ModelPlan(
+            thresholds=thresholds,
+            forward=np.asarray(scenario.forward_link_rates()),
+        )
+    f, b_ack, b_report = scenario.model_rates()
+    model = models.build_model(protocol, f, b_ack, b_report, params)
+    return ModelPlan(
+        thresholds=thresholds,
+        probabilities=model.probabilities,
+        score_matrix=model.score_matrix().astype(np.int64),
+        kind=model.kind,
+        rounds_per_packet=model.rounds_per_packet,
+    )
 
 
 def default_checkpoints(horizon: int, points: int = 30) -> List[int]:
@@ -226,10 +267,14 @@ class DetectionExperiment:
         jobs = resolve_jobs(jobs)
         engines: List[str] = []
         reasons: List[str] = []
+        plan = (
+            model_plan(self.protocol, self.scenario)
+            if self.backend == "model" else None
+        )
         if self.shards == 1:
-            if self.backend == "model":
+            if plan is not None:
                 with profile_phase("scoring"):
-                    convictions, estimates = self._run_arrays()
+                    convictions, estimates = self._run_arrays(plan)
             else:
                 convictions, estimates, engines, reasons = self._run_wire(
                     self.runs, run_offset=0
@@ -256,6 +301,7 @@ class DetectionExperiment:
                     self.backend,
                     self.faults,
                     int(offset),
+                    plan,
                 )
                 for index, (size, offset) in enumerate(zip(sizes, offsets))
             ]
@@ -295,11 +341,11 @@ class DetectionExperiment:
             reasons=reasons,
         )
 
-    def _run_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _run_arrays(self, plan: ModelPlan) -> Tuple[np.ndarray, np.ndarray]:
         """One generator, all runs: ``(convictions, estimates_last)``."""
         if self.protocol == "statfl":
-            return self._run_statfl()
-        return self._run_modelled()
+            return self._run_statfl(plan)
+        return self._run_modelled(plan)
 
     # -- wire backends ---------------------------------------------------------
 
@@ -332,18 +378,9 @@ class DetectionExperiment:
 
     # -- model-driven protocols ------------------------------------------------
 
-    def _run_modelled(self):
-        params = self.scenario.params
-        d = params.path_length
+    def _run_modelled(self, plan: ModelPlan):
+        d = self.scenario.params.path_length
         rng = np.random.default_rng(self.seed)
-        f, b_ack, b_report = self.scenario.model_rates()
-        model = models.build_model(self.protocol, f, b_ack, b_report, params)
-        thresholds = np.asarray(
-            models.calibrated_thresholds(self.protocol, params)
-        )
-        pvals = model.probabilities
-        score_matrix = model.score_matrix()  # (d+1, d)
-
         scores = np.zeros((self.runs, d), dtype=np.int64)
         rounds = np.zeros(self.runs, dtype=np.int64)
         convictions = np.zeros(
@@ -356,17 +393,19 @@ class DetectionExperiment:
             block = checkpoint - previous
             previous = checkpoint
             if block > 0:
-                if model.rounds_per_packet >= 1.0:
+                if plan.rounds_per_packet >= 1.0:
                     block_rounds = np.full(self.runs, block, dtype=np.int64)
                 else:
                     block_rounds = rng.binomial(
-                        block, model.rounds_per_packet, size=self.runs
+                        block, plan.rounds_per_packet, size=self.runs
                     )
-                counts = _grouped_multinomial(rng, block_rounds, pvals)
-                scores += (counts @ score_matrix).astype(np.int64)
+                counts = _grouped_multinomial(
+                    rng, block_rounds, plan.probabilities
+                )
+                scores += counts @ plan.score_matrix
                 rounds += block_rounds
-            estimates = self._estimates(scores, rounds, model.kind, d)
-            convictions[index] = estimates > thresholds[None, :]
+            estimates = self._estimates(scores, rounds, plan.kind, d)
+            convictions[index] = estimates > plan.thresholds[None, :]
         return convictions, estimates
 
     @staticmethod
@@ -386,14 +425,9 @@ class DetectionExperiment:
 
     # -- statistical FL -----------------------------------------------------------
 
-    def _run_statfl(self):
-        params = self.scenario.params
-        d = params.path_length
+    def _run_statfl(self, plan: ModelPlan):
+        d = self.scenario.params.path_length
         rng = np.random.default_rng(self.seed)
-        forward = np.asarray(self.scenario.forward_link_rates())
-        thresholds = np.asarray(
-            models.calibrated_thresholds("statfl", params)
-        )
         # Cumulative arrivals per node 0..d and sampled-counter values.
         arrivals = np.zeros((self.runs, d + 1), dtype=np.int64)
         counters = np.zeros((self.runs, d), dtype=np.int64)  # nodes 1..d
@@ -410,7 +444,7 @@ class DetectionExperiment:
                 new_arrivals = np.full(self.runs, block, dtype=np.int64)
                 arrivals[:, 0] += new_arrivals
                 for link in range(d):
-                    new_arrivals = rng.binomial(new_arrivals, 1.0 - forward[link])
+                    new_arrivals = rng.binomial(new_arrivals, 1.0 - plan.forward[link])
                     arrivals[:, link + 1] += new_arrivals
                     counters[:, link] += rng.binomial(
                         new_arrivals, 0.0 + self.fl_sampling
@@ -426,7 +460,7 @@ class DetectionExperiment:
             )
             upstream = np.maximum(fractions[:, :-1], 1e-12)
             estimates = np.maximum(0.0, 1.0 - fractions[:, 1:] / upstream)
-            convictions[index] = estimates > thresholds[None, :]
+            convictions[index] = estimates > plan.thresholds[None, :]
         return convictions, estimates
 
 
@@ -435,8 +469,9 @@ def _run_detection_shard(payload):
 
     Module-level so payloads pickle by reference; a shard is simply a
     single-shard :class:`DetectionExperiment` at the shard's derived seed
-    (model backend) or at the root seed plus a run offset (wire
-    backends). Returns ``(convictions, estimates, engines, reasons)``.
+    (model backend, running the experiment's :class:`ModelPlan`) or at the
+    root seed plus a run offset (wire backends). Returns ``(convictions,
+    estimates, engines, reasons)``.
     """
     (
         protocol,
@@ -450,6 +485,7 @@ def _run_detection_shard(payload):
         backend,
         faults,
         run_offset,
+        plan,
     ) = payload
     shard = DetectionExperiment(
         protocol,
@@ -465,7 +501,7 @@ def _run_detection_shard(payload):
         faults=faults,
     )
     if backend == "model":
-        convictions, estimates = shard._run_arrays()
+        convictions, estimates = shard._run_arrays(plan)
         return convictions, estimates, [], []
     return shard._run_wire(runs, run_offset=run_offset)
 

@@ -27,6 +27,7 @@ Comparison semantics:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -210,6 +211,13 @@ class TrendReport:
         return "\n".join(lines)
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a threshold that is not a positive finite fraction (NaN
+    would pass every delta as ``ok``)."""
+    if not 0 < threshold < math.inf:
+        raise ConfigurationError("threshold must be positive and finite")
+
+
 def compare_to_baseline(
     baseline: dict,
     paths: Sequence[Union[str, Path]],
@@ -217,8 +225,7 @@ def compare_to_baseline(
     noise_floor: float = NOISE_FLOOR_SECONDS,
 ) -> TrendReport:
     """Per-benchmark deltas of the current BENCH files vs a baseline."""
-    if threshold <= 0:
-        raise ConfigurationError("threshold must be positive")
+    check_threshold(threshold)
     base = {
         str(name): float(seconds)
         for name, seconds in baseline.get("benchmarks", {}).items()

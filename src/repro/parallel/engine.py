@@ -21,6 +21,7 @@ snapshot alongside the result, so parents can merge worker metrics with
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import (
@@ -127,10 +128,14 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"max_attempts must be at least 1, got {self.max_attempts}"
             )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigurationError(f"timeout must be positive, got {self.timeout}")
-        if self.backoff < 0:
-            raise ConfigurationError(f"backoff must be non-negative, got {self.backoff}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ConfigurationError(
+                f"timeout must be positive and finite, got {self.timeout}"
+            )
+        if not 0 <= self.backoff < math.inf:
+            raise ConfigurationError(
+                f"backoff must be non-negative and finite, got {self.backoff}"
+            )
 
     def delay_before(self, attempt: int) -> float:
         """Backoff delay before ``attempt`` (1-based; first attempt is free)."""

@@ -71,7 +71,12 @@ class _SignerPool:
 
 
 class _SigVerifierSet:
-    """Source-side verifier accepting a node's registered roots."""
+    """Source-side verifier accepting a node's registered roots.
+
+    One :meth:`MerkleVerifier.verify` per signature, against the set of
+    every root registered so far: the WOTS chains and the authentication
+    path are hashed once, whatever the number of pool generations.
+    """
 
     def __init__(self, pool: _SignerPool) -> None:
         self._pool = pool
@@ -81,10 +86,7 @@ class _SigVerifierSet:
             signature = decode_signature(blob)
         except ConfigurationError:
             return False
-        return any(
-            MerkleVerifier(root).verify(message, signature)
-            for root in self._pool.roots
-        )
+        return MerkleVerifier(self._pool.roots).verify(message, signature)
 
 
 def _signed_layer(node, payload: bytes, inner: bytes) -> bytes:

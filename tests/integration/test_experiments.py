@@ -206,6 +206,11 @@ class TestCli:
         ["table2", "--jobs", "-1", "--runs", "10"],
         ["report", "--max-attempts", "0"],
         ["netexp", "--adversaries", "-1"],
+        ["table1", "--rate", "nan"],
+        ["practicality", "--rate", "nan"],
+        ["practicality", "--rate", "inf"],
+        ["report", "--task-timeout", "nan"],
+        ["bench", "trend", "--threshold", "nan"],
     ])
     def test_invalid_parameter_exits_2_with_one_line(self, argv, tmp_path):
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")

@@ -5,8 +5,10 @@ verdicts line up with wire-simulation ground truth."""
 import numpy as np
 import pytest
 
+from repro.crypto.hashing import hash_bytes
 from repro.exceptions import ConfigurationError
 from repro.mc.detection import DetectionExperiment, default_checkpoints
+from repro.protocols import models
 from repro.workloads.scenarios import paper_scenario
 
 SCENARIO = paper_scenario()
@@ -157,3 +159,103 @@ class TestValidation:
             DetectionExperiment(
                 "full-ack", SCENARIO, checkpoints=[100, 2000], horizon=1000
             )
+
+
+#: sha256 of (convictions, estimates_last, FP rates, FN rates), recorded
+#: before the model plan existed: 90 runs, horizon 2000, seed 7, on the
+#: default grid and on a grid whose repeated checkpoint is a zero-length
+#: block.
+PLAN_DIGESTS = [
+    ("full-ack", 1, "default", "69b3e7590ec4b423c119d556e7c52a11bb0d5fefc4c0178b1b04a5eca0bf920a"),
+    ("full-ack", 1, "repeat", "2e1692faa173a12a6a9da901981cd162ed3d39d54f54147ef3f7000e236dc6a8"),
+    ("full-ack", 3, "default", "fd313765ce2f6989f6ab4ba5b91c4dcaf057f926f6e6823432c442fb33a821c0"),
+    ("full-ack", 3, "repeat", "82fdbc78c4a837537f927e4c5aa96263c3036a60beef0ca4302f1b0df5591209"),
+    ("sig-ack", 1, "default", "69b3e7590ec4b423c119d556e7c52a11bb0d5fefc4c0178b1b04a5eca0bf920a"),
+    ("sig-ack", 1, "repeat", "2e1692faa173a12a6a9da901981cd162ed3d39d54f54147ef3f7000e236dc6a8"),
+    ("sig-ack", 3, "default", "fd313765ce2f6989f6ab4ba5b91c4dcaf057f926f6e6823432c442fb33a821c0"),
+    ("sig-ack", 3, "repeat", "82fdbc78c4a837537f927e4c5aa96263c3036a60beef0ca4302f1b0df5591209"),
+    ("paai1", 1, "default", "9f3f7e1f26f1e22036b91f68af9186938cccf0841f86d5a6f10bdb536ce7859b"),
+    ("paai1", 1, "repeat", "a78ad3f092d4ef20705f09dec599fe93b93048bdef687642c035329f0641514b"),
+    ("paai1", 3, "default", "82ad18b399a9ec96cd32add48303845921bea4adc8d3e9a26d7a7fea59f6eeba"),
+    ("paai1", 3, "repeat", "9b05d7eb17a595da09baf19fe5a5e0357d68ba50779802dfb048ae6beb130ed9"),
+    ("paai2", 1, "default", "a5be00c966d6dd20ed81a907640b6359b7dae831e205b25c6961db4bf5278fc8"),
+    ("paai2", 1, "repeat", "423b91e852074495be4a24e291fc43e30ab1e132dfe7377158b240a135a65e58"),
+    ("paai2", 3, "default", "49471294e741fc5fb3b23db9f6c9c323042340655503942b54436a951eb2652e"),
+    ("paai2", 3, "repeat", "03447e3c55df97f945e171f25006cced54294a4c2767cdfdb7b2224f4baaafed"),
+    ("combo1", 1, "default", "f3f9dc6248cfc8b95cc5977e372788f69def99432851c133f0d05f9b21c81c9d"),
+    ("combo1", 1, "repeat", "a40edc16c594053d4ab25b87cf29705c2c1c36049d55bece12e0240b336017fa"),
+    ("combo1", 3, "default", "8463526c07a8f9a80e7f5aa54b65b089fa6bbfb47ff0fadbfd7f5dafc63461f3"),
+    ("combo1", 3, "repeat", "3597aa86cc8f51aa7f55d8da78c5e6282bcc7bddff65154ab4d07c60a8aad253"),
+    ("combo2", 1, "default", "595f6a54aa9e028a613f6bafc0a55854857533fe2a815836b5869104506664d5"),
+    ("combo2", 1, "repeat", "c72eed29bcc796c71d5fb7b747a2754ed01c2ebc55c2cc79e7a67f27307667a1"),
+    ("combo2", 3, "default", "553ad7997dbb22e11b917e31dfea0b809733774a5b0d1aa6a84c8b7c0dc1e43f"),
+    ("combo2", 3, "repeat", "1830ad433954a88157f0afdf46c702679513d32dc51802310d9a9df9a06d789b"),
+    ("statfl", 1, "default", "f9835fcfad0638f8eb43a2bda7dbcf9b3eb33a882904c73cfed913bbb707ceb5"),
+    ("statfl", 1, "repeat", "1db06ac95c98f8453c28a3e1f2084339bb43dcda25ea96e9fd8f07598f7affea"),
+    ("statfl", 3, "default", "ff0c03b768f1938d7c4e3931baa60dff120c9d2378861ebd1100899259f3da6b"),
+    ("statfl", 3, "repeat", "31fc88c6a265c9af07dd62a45de8a9c228ee336574103158c9f0df1060216257"),
+]
+
+REPEATED_GRID = [10, 50, 50, 400, 2000]
+
+
+def _result_digest(result):
+    """sha256 over each array's dtype, shape and bytes, in order."""
+    parts = []
+    for value in (
+        result.convictions,
+        result.estimates_last,
+        np.asarray(result.curve.fp_rates),
+        np.asarray(result.curve.fn_rates),
+    ):
+        array = np.ascontiguousarray(value)
+        parts += [f"{array.dtype.str}{array.shape}".encode(), array.tobytes()]
+    return hash_bytes(b"".join(parts)).hex()
+
+
+class TestModelPlan:
+    """The draw-independent model inputs are built once per ``run()``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build_model": 0, "calibrated_thresholds": 0}
+        for name in counts:
+            original = getattr(models, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(models, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("protocol", ["full-ack", "paai2", "statfl"])
+    def test_thresholds_once_per_run(self, calls, protocol):
+        DetectionExperiment(
+            protocol, SCENARIO, runs=40, horizon=500, seed=1, shards=4
+        ).run(jobs=1)
+        assert calls["calibrated_thresholds"] == 1
+
+    def test_build_model_count_independent_of_shards(self, calls):
+        per_shards = {}
+        for shards in (1, 4):
+            calls["build_model"] = 0
+            DetectionExperiment(
+                "paai1", SCENARIO, runs=40, horizon=500, seed=1, shards=shards
+            ).run(jobs=1)
+            per_shards[shards] = calls["build_model"]
+        # One for the plan, d + 1 = 7 inside calibrated_thresholds.
+        assert per_shards == {1: 8, 4: 8}
+
+    @pytest.mark.parametrize("protocol, shards, grid, expected", PLAN_DIGESTS)
+    def test_outputs_unchanged(self, protocol, shards, grid, expected):
+        result = DetectionExperiment(
+            protocol,
+            SCENARIO,
+            runs=90,
+            horizon=2000,
+            checkpoints=REPEATED_GRID if grid == "repeat" else None,
+            seed=7,
+            shards=shards,
+        ).run()
+        assert _result_digest(result) == expected

@@ -221,3 +221,62 @@ class TestSignatureProperties:
         except ConfigurationError:
             return  # structural rejection is also a pass
         assert not verifier.verify(message, signature)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        generations=st.integers(1, 4),
+        messages_to_sign=st.lists(st.binary(min_size=0, max_size=32),
+                                  min_size=1, max_size=3),
+        element=st.integers(0, 10_000),
+        node=st.integers(0, 10_000),
+    )
+    def test_verifier_set_matches_any_root_loop(
+        self, generations, messages_to_sign, element, node
+    ):
+        """One verification against the set of registered roots accepts
+        exactly what verifying against each root in turn accepts."""
+        from repro.crypto.merkle import (
+            MerkleVerifier,
+            decode_signature,
+            encode_signature,
+        )
+        from repro.exceptions import ConfigurationError
+        from repro.protocols.sigack import _SignerPool, _SigVerifierSet
+
+        def any_root(pool, message, blob):
+            # The per-root loop the set verifier replaced: the oracle.
+            try:
+                signature = decode_signature(blob)
+            except ConfigurationError:
+                return False
+            return any(
+                MerkleVerifier(root).verify(message, signature)
+                for root in pool.roots
+            )
+
+        pool = _SignerPool(b"prop-pool", height=1)
+        verifiers = _SigVerifierSet(pool)
+        outsider = _SignerPool(b"prop-outsider", height=1)
+        cases = []
+        # Two keys per generation: sign until `generations` pools exist.
+        for count in range(2 * generations):
+            message = messages_to_sign[count % len(messages_to_sign)]
+            blob = pool.sign(message)
+            signature = decode_signature(blob)
+            tampered = bytearray(blob)
+            tampered[5 + (element % len(signature.wots_signature)) * 32] ^= 1
+            path_tampered = bytearray(blob)
+            path_tampered[len(blob) - 32 * (node % len(signature.auth_path) + 1)] ^= 1
+            signature.index ^= 1
+            cases += [
+                (message, blob, True),
+                (message + b"!", blob, False),
+                (message, bytes(tampered), False),
+                (message, bytes(path_tampered), False),
+                (message, encode_signature(signature), False),
+                (message, outsider.sign(message), False),
+            ]
+        assert len(pool.roots) == generations
+        for message, blob, valid in cases:
+            assert verifiers.verify(message, blob) == any_root(pool, message, blob)
+            assert verifiers.verify(message, blob) == valid

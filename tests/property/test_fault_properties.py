@@ -78,7 +78,9 @@ class TestKnownStatflFalseAccusation:
     ``StatFLSource.estimates`` reads a node that never reported as
     survival 0, which estimates l_4's drop rate at 1.0, and
     ``board.rounds`` counts all 200 data packets, so the confident
-    verdict convicts l_4. Fixing the estimator changes statfl outputs.
+    verdict convicts l_4. Root 1784 of ``burst-blackout`` shows the same
+    reading: l_4 estimated at 1.0, l_5 at 0.0. Fixing the estimator
+    changes statfl outputs.
     """
 
     @pytest.mark.xfail(
@@ -92,6 +94,22 @@ class TestKnownStatflFalseAccusation:
             "statfl",
             PRESETS["crash-restart"],
             seed=cell_seed(root, "statfl", "crash-restart"),
+            packets=PACKETS["statfl"],
+        )
+        assert cell.error is None
+        assert cell.false_accusations == [], cell.estimates
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="statfl estimates 1.0 on l_4 and 0.0 on l_5 (downstream "
+               "nodes read as survival 0), and the confident verdict convicts",
+    )
+    @pytest.mark.parametrize("root", [1784])
+    def test_burst_blackout_statfl_convicts_nobody(self, root):
+        cell = run_chaos_cell(
+            "statfl",
+            PRESETS["burst-blackout"],
+            seed=cell_seed(root, "statfl", "burst-blackout"),
             packets=PACKETS["statfl"],
         )
         assert cell.error is None

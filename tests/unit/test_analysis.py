@@ -224,8 +224,13 @@ class TestOverheadFormulas:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             communication_overhead("full-ack", PAPER, psi=1.5)
-        with pytest.raises(ConfigurationError):
-            storage_bound_packets("full-ack", PAPER, 0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                storage_bound_packets("full-ack", PAPER, rate)
+            with pytest.raises(ConfigurationError):
+                practicality_summary(PAPER, rate)
+            with pytest.raises(ConfigurationError):
+                detection_time_minutes("full-ack", PAPER, rate)
         with pytest.raises(ConfigurationError):
             storage_bound_packets("full-ack", PAPER, 100.0, "typical")
         with pytest.raises(ConfigurationError):

@@ -124,8 +124,9 @@ class TestComparison:
         assert report.ok
 
     def test_threshold_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            self._report(tmp_path, baseline={}, current={}, threshold=0)
+        for threshold in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                self._report(tmp_path, baseline={}, current={}, threshold=threshold)
 
     def test_to_dict_and_render(self, tmp_path):
         report = self._report(

@@ -149,10 +149,12 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError, match="timeout"):
-            RetryPolicy(timeout=0.0)
-        with pytest.raises(ConfigurationError, match="backoff"):
-            RetryPolicy(backoff=-1.0)
+        for timeout in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="timeout"):
+                RetryPolicy(timeout=timeout)
+        for backoff in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="backoff"):
+                RetryPolicy(backoff=backoff)
 
     def test_backoff_doubles_per_attempt(self):
         policy = RetryPolicy(backoff=0.1)

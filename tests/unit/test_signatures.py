@@ -237,3 +237,87 @@ class TestMerkleSigner:
             MerkleSigner(b"s", height=0)
         with pytest.raises(ConfigurationError):
             MerkleVerifier(b"short-root")
+
+
+class TestCompactPool:
+    def test_same_seed_signers_agree_and_stay_independent(self):
+        first = MerkleSigner(b"twin-seed", height=2)
+        second = MerkleSigner(b"twin-seed", height=2)
+        assert first.public_root == second.public_root
+        signatures = [first.sign(b"m%d" % index) for index in range(3)]
+        # Signing with one signer does not advance the other.
+        assert second.remaining == 4
+        for index, signature in enumerate(signatures):
+            assert second.sign(b"m%d" % index) == signature
+
+    def test_exhaustion_after_compact_storage(self):
+        signer = MerkleSigner(b"small-seed", height=1)
+        verifier = MerkleVerifier(signer.public_root)
+        assert verifier.verify(b"a", signer.sign(b"a"))
+        assert verifier.verify(b"b", signer.sign(b"b"))
+        with pytest.raises(ConfigurationError):
+            signer.sign(b"c")
+
+    def test_from_starts_round_trip(self):
+        digest = hash_bytes(b"message")
+        private = WotsPrivateKey(b"seed-11")
+        rebuilt = WotsPrivateKey.from_starts(private.encode_starts())
+        assert rebuilt.public_key().encode() == private.public_key().encode()
+        assert rebuilt.sign(digest) == private.sign(digest)
+        # The one-time guard holds on a rebuilt key too.
+        with pytest.raises(ConfigurationError):
+            rebuilt.sign(digest)
+
+    def test_from_starts_rejects_wrong_length(self):
+        blob = WotsPrivateKey(b"seed-12").encode_starts()
+        for bad in (blob[:-1], blob + b"\x00", b""):
+            with pytest.raises(ConfigurationError):
+                WotsPrivateKey.from_starts(bad)
+
+
+class TestVerifierRootSet:
+    def _signatures(self):
+        signer = MerkleSigner(b"set-seed", height=2)
+        outsider = MerkleSigner(b"other-seed", height=2)
+        messages = [b"a", b"b", b"c"]
+        signed = [(message, signer.sign(message)) for message in messages]
+        signed.append((b"d", outsider.sign(b"d")))
+        signed.append((b"forged", signer.sign(b"e")))
+        return signer.public_root, outsider.public_root, signed
+
+    def test_root_set_agrees_with_single_root(self):
+        root, other, signed = self._signatures()
+        for roots in ({root}, [root, other], (other, root)):
+            as_set = MerkleVerifier(roots)
+            for message, signature in signed:
+                expected = any(
+                    MerkleVerifier(single).verify(message, signature)
+                    for single in roots
+                )
+                assert as_set.verify(message, signature) == expected
+        # Both outcomes occur: the agreement is not vacuous.
+        outcomes = {MerkleVerifier(root).verify(m, s) for m, s in signed}
+        assert outcomes == {True, False}
+
+    def test_empty_set_rejects(self):
+        root, _, signed = self._signatures()
+        assert MerkleVerifier(root).verify(*signed[0])
+        empty = MerkleVerifier(set())
+        for message, signature in signed:
+            assert not empty.verify(message, signature)
+
+    def test_short_root_in_set_raises(self):
+        root, _, _ = self._signatures()
+        with pytest.raises(ConfigurationError):
+            MerkleVerifier({root, b"\x00" * 31})
+        with pytest.raises(ConfigurationError):
+            MerkleVerifier(b"\x00" * 31)
+
+    def test_verify_path_with_root_collection(self):
+        leaves = [b"l%d" % index for index in range(4)]
+        tree = MerkleTree(leaves)
+        path = tree.auth_path(1)
+        assert MerkleTree.verify_path(leaves[1], 1, path, {tree.root})
+        assert MerkleTree.verify_path(leaves[1], 1, path, [b"\x00" * 32, tree.root])
+        assert not MerkleTree.verify_path(leaves[1], 1, path, [b"\x00" * 32])
+        assert not MerkleTree.verify_path(leaves[1], 1, path, ())
